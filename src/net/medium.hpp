@@ -63,11 +63,9 @@ class Interface {
   void transmit(Packet&& p);
   void transmit(const Packet& p);
 
-  /// Egress bandwidth accounting (bytes handed to the medium, pre-drop).
-  BandwidthMeter& tx_meter() { return tx_meter_; }
-  std::uint64_t tx_bytes() const { return tx_bytes_; }
-  std::uint64_t tx_packets() const { return tx_packets_; }
-  void note_tx(SimTime now, std::size_t bytes);  // defined in medium.cpp (needs Node)
+  /// Egress accounting (bytes handed to the medium, pre-drop), kept in the
+  /// node's registry counters.
+  void note_tx(std::size_t bytes);  // defined in medium.cpp (needs Node)
 
   /// Attachment slot on the owning medium (set by the medium at attach time).
   /// Media use it as the batch-drain `key` identifying the sender, so two
@@ -83,9 +81,6 @@ class Interface {
   Ipv4Addr addr_;
   bool promiscuous_ = false;
   bool gateway_ = false;
-  BandwidthMeter tx_meter_{kNsPerSec / 2};
-  std::uint64_t tx_bytes_ = 0;
-  std::uint64_t tx_packets_ = 0;
 };
 
 /// Base class for transmission media.
@@ -169,18 +164,11 @@ class Medium {
   /// Legacy aggregate: every frame that failed to reach a receiver.
   std::uint64_t dropped_packets() const { return stats_.total_dropped(); }
 
-  /// Aggregate carried-traffic meter (all senders). For point-to-point
-  /// links the carried load lives in per-direction meters instead — use
-  /// utilization(). Shard-confined (meters mutate on read).
-  BandwidthMeter& meter() { return meter_; }
-
   /// Current utilization in [0,1]: carried bits over the meter window
-  /// relative to capacity. Shard-confined: call from the medium's owning
-  /// shard only (for a cut link, barrier-only — it reads both direction
-  /// meters).
-  virtual double utilization() {
-    return meter_.rate_bps(events_->now()) / bandwidth_bps_;
-  }
+  /// relative to capacity (the §3.1 linkLoad() primitive reads this).
+  /// Shard-confined: call from the medium's owning shard only (for a cut
+  /// link, barrier-only — it reads both direction meters).
+  virtual double utilization() = 0;
 
  protected:
   /// The impairment dice for one frame, rolled in a fixed order (loss,
@@ -234,7 +222,6 @@ class Medium {
   ImpairmentStats stats_;  // relaxed atomics (see impairments.hpp)
   std::atomic<bool> link_up_{true};
   std::uint64_t rng_ = 0x9E3779B97F4A7C15ull;  // shard-confined (never cut)
-  BandwidthMeter meter_{kNsPerSec / 2};
 
   // Cached instruments in the global registry (medium/<name>/...).
   obs::Counter* m_delivered_ = nullptr;
@@ -333,6 +320,14 @@ class EthernetSegment : public Medium, public DeliverySink {
 
   const std::vector<Interface*>& interfaces() const { return ifaces_; }
 
+  /// Aggregate carried-traffic meter (all senders). Shard-confined (meters
+  /// mutate on read).
+  BandwidthMeter& meter() { return meter_; }
+
+  double utilization() override {
+    return meter_.rate_bps(events_->now()) / bandwidth_bps_;
+  }
+
   /// Batched arrival (DeliverySink): `key` is the sending station's slot.
   /// Consecutive unicast frames resolving to the same receiver are regrouped
   /// into one per-node batch; multicast frames and segments with promiscuous
@@ -349,6 +344,7 @@ class EthernetSegment : public Medium, public DeliverySink {
 
   std::vector<Interface*> ifaces_;
   SimTime busy_until_ = 0;  // shared medium
+  BandwidthMeter meter_{kNsPerSec / 2};
 };
 
 }  // namespace asp::net

@@ -6,6 +6,8 @@
 // patterns rather than endpoint state.
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -31,7 +33,8 @@ struct TraceEvent {
 /// parallel run.
 class PacketTracer {
  public:
-  /// Maximum retained events; older ones are discarded (ring semantics).
+  /// Maximum retained events. Once full, each new event discards the
+  /// oldest one.
   explicit PacketTracer(std::size_t capacity = 100'000) : capacity_(capacity) {}
 
   /// Starts recording packets arriving at `n`. Adds an rx tap; other taps
@@ -46,26 +49,28 @@ class PacketTracer {
 
   /// Records an event explicitly (for senders/custom points).
   void record(SimTime t, const std::string& node, const Packet& p) {
-    if (events_.size() >= capacity_) {
-      events_.erase(events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(
-                                          capacity_ / 2));
+    if (events_.size() == capacity_) {
       ++discarded_;
+      if (capacity_ == 0) return;
+      events_.pop_front();
     }
-    events_.push_back(TraceEvent{t != 0 ? t : now_(), node, p.id, describe(p)});
+    events_.push_back({t != 0 ? t : now_(), node, p.id, describe(p)});
   }
 
   /// Supplies the clock used when record() is called with t == 0 (typically
   /// bound to the Network's event queue).
   void set_clock(std::function<SimTime()> now) { now_ = std::move(now); }
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  /// The retained events, oldest first.
+  const std::deque<TraceEvent>& events() const { return events_; }
   void clear() { events_.clear(); }
+  /// True once any event has been discarded to make room.
   bool truncated() const { return discarded_ > 0; }
 
   /// Events whose summary contains `needle`.
   std::vector<TraceEvent> grep(const std::string& needle) const {
     std::vector<TraceEvent> out;
-    for (const TraceEvent& e : events_) {
+    for (const TraceEvent& e : events()) {
       if (e.summary.find(needle) != std::string::npos) out.push_back(e);
     }
     return out;
@@ -76,8 +81,8 @@ class PacketTracer {
 
  private:
   std::size_t capacity_;
-  std::vector<TraceEvent> events_;
-  int discarded_ = 0;
+  std::deque<TraceEvent> events_;  // arrival order; pop_front() once full
+  std::uint64_t discarded_ = 0;
   std::function<SimTime()> now_ = [] { return SimTime{0}; };
 };
 

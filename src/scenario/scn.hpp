@@ -25,7 +25,7 @@
 //   cache_ttl_ms = 0      # 0 = entries never expire
 //
 //   [run]
-//   shards = 4
+//   shards = 1
 //   duration_ms = 100
 //
 // Full-line comments start with '#' or ';'. Every section and key must be

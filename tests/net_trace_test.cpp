@@ -169,6 +169,36 @@ TEST(PacketTracer, CapacityBoundIsEnforced) {
   EXPECT_EQ(tracer.events().back().time, 500u);
 }
 
+// A full tracer discards exactly one oldest event per new one, and events()
+// lists what is left in arrival order — also when read, recorded into again,
+// and read once more.
+TEST(PacketTracer, OverflowDropsOneOldestPerEventInArrivalOrder) {
+  PacketTracer tracer(5);
+  Packet p = Packet::make_raw(ip("1.1.1.1"), ip("2.2.2.2"), {});
+  auto times = [&] {
+    std::vector<SimTime> out;
+    for (const TraceEvent& e : tracer.events()) out.push_back(e.time);
+    return out;
+  };
+  for (SimTime t = 1; t <= 5; ++t) tracer.record(t, "x", p);
+  EXPECT_FALSE(tracer.truncated());
+  EXPECT_EQ(times(), (std::vector<SimTime>{1, 2, 3, 4, 5}));
+
+  tracer.record(6, "x", p);
+  EXPECT_TRUE(tracer.truncated());
+  EXPECT_EQ(times(), (std::vector<SimTime>{2, 3, 4, 5, 6}));
+
+  for (SimTime t = 7; t <= 13; ++t) tracer.record(t, "x", p);
+  EXPECT_EQ(times(), (std::vector<SimTime>{9, 10, 11, 12, 13}));
+  EXPECT_EQ(tracer.grep("raw").front().time, 9u);
+  EXPECT_EQ(tracer.dump().substr(0, 12), "[  0.000000]");
+
+  tracer.clear();
+  tracer.record(20, "x", p);
+  EXPECT_EQ(times(), (std::vector<SimTime>{20}));
+  EXPECT_TRUE(tracer.truncated());  // clear() forgets events, not the overflow
+}
+
 
 // Regression: attach() used to capture the clock eagerly (recording time=0
 // for every arrival unless set_clock() was wired up separately). It now reads

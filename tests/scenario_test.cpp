@@ -2,6 +2,7 @@
 // determinism, island structure, the .scn parser's reject-typos policy, the
 // serial-vs-sharded determinism gate on the checked-in 1k-node scenario, and
 // the tx_time rounding regression that the 10^5-user workloads exposed.
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -360,6 +361,35 @@ TEST(ScenarioCache, NativeTierMatchesPlanpVerdicts) {
   EXPECT_EQ(planp.workload.origin_requests, native.workload.origin_requests);
   EXPECT_EQ(planp.workload.completed, native.workload.completed);
   EXPECT_GT(planp.cache_hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Behaviour oracle: the metrics JSON of short serial runs of two checked-in
+// scenarios, pinned by FNV-1a-64 digest. A refactor that promises "same
+// behaviour" must keep these digests; a change that means to alter behaviour
+// re-blesses them and says why in CHANGES.md.
+
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (unsigned char c : text) h = (h ^ c) * 0x100000001B3ull;
+  return h;
+}
+
+std::uint64_t golden_digest(const std::string& scn, net::SimTime duration) {
+  ScenarioConfig cfg;
+  std::string err;
+  EXPECT_TRUE(load_scn_file(std::string(ASP_SCENARIO_DIR) + "/" + scn, cfg, err)) << err;
+  cfg.run.duration = duration;
+  Scenario sc(cfg);
+  return fnv1a64(sc.run(1).to_json());
+}
+
+TEST(ScenarioGolden, FatTree1kMetricsDigest) {
+  EXPECT_EQ(golden_digest("fat_tree_1k.scn", net::millis(100)), 0x170c48a1f9f41d76ull);
+}
+
+TEST(ScenarioGolden, FatTreeCacheMetricsDigest) {
+  EXPECT_EQ(golden_digest("fat_tree_cache.scn", net::millis(300)), 0x0fcf772b6b4c91ecull);
 }
 
 // The ASP monitor tier actually sees traffic: metro_access with monitors=core
