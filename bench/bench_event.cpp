@@ -9,17 +9,17 @@
 //                      via cancel+schedule (the tcp.cpp pattern). This is the
 //                      shape the closed-loop workload synthesizer puts on
 //                      every host-bundle queue.
-//   * delivery_heavy — a driver timer fanning out same-(sink, key, time)
-//                      packet deliveries that drain as PacketBatch groups,
-//                      i.e. the forwarding-plane shape of a scenario run.
+//   * delivery_heavy — a periodic timer fanning out packet deliveries, each a
+//                      boxed-packet closure scheduled with schedule_ranked
+//                      the way a point-to-point link schedules every frame:
+//                      the forwarding-plane shape of a scenario run.
 //   * mixed          — both at once, approximating a full scenario shard.
 //
 // What CI gates (see .github/workflows/ci.yml, Release job): allocs/event is
 // exactly 0 in steady state for every mix — scheduling, cancelling, and
 // draining live entirely in the queue's pooled slab after warmup. Events/sec
-// and the speedup over the recorded pre-PR binary-heap baseline are written
-// to BENCH_event.json for EXPERIMENTS.md, never asserted (they depend on the
-// runner).
+// is written to BENCH_event.json for same-machine comparison, never asserted
+// (it depends on the runner).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -31,7 +31,6 @@
 
 #include "bench/harness.hpp"
 #include "mem/pool.hpp"
-#include "net/batch.hpp"
 #include "net/event.hpp"
 #include "net/network.hpp"  // net::ip()
 #include "net/packet.hpp"
@@ -91,17 +90,6 @@ namespace {
 
 using namespace asp;
 
-// Pre-PR baseline: the std::priority_queue + unordered_set implementation,
-// measured on this machine with this exact workload right before the
-// calendar-queue rebuild (same build flags, same seeds). Kept in the JSON so
-// the speedup gauge compares against a recorded figure, not a guess.
-constexpr double kHeapTimerHeavyEps = 5.77e5;
-constexpr double kHeapTimerHeavyAllocsPerEvent = 1.0;
-constexpr double kHeapDeliveryHeavyEps = 9.6e6;
-constexpr double kHeapDeliveryHeavyAllocsPerEvent = 0.0;
-constexpr double kHeapMixedEps = 2.0e6;
-constexpr double kHeapMixedAllocsPerEvent = 0.3045;
-
 // Deterministic xorshift64: the only randomness source in the workload.
 std::uint64_t xorshift(std::uint64_t x) {
   x ^= x << 13;
@@ -145,16 +133,23 @@ struct TimerSim {
 };
 
 // --- delivery-heavy -----------------------------------------------------------
-// A driver timer fires every 2 µs and fans out kFanout deliveries, grouped
-// same-(sink, key, time) in runs of kGroup so the batch drain engages exactly
-// as it does behind a scenario router port.
-struct CountSink final : net::DeliverySink {
+// A periodic timer fires every 2 µs and fans out `fanout` groups of kGroup
+// deliveries 1 µs out. Each delivery is what PointToPointLink schedules per
+// frame: a closure capturing its receiver and a pooled Packet box, queued
+// under the canonical (arrival, sender clock, sender rank) key.
+struct CountSink {
   std::uint64_t packets = 0;
-  void deliver_batch(std::uint32_t, net::PacketBatch&& batch) override {
-    packets += batch.size();
-    batch.clear();  // recycle the boxes, as the runtime's receive path does
-  }
 };
+
+// Schedules one boxed delivery of `p` to `s` (the box recycles when the
+// closure is destroyed after running, as on the media's receive path).
+void schedule_boxed(net::EventQueue& q, net::SimTime at, std::uint32_t rank,
+                    CountSink& s, const net::Packet& p) {
+  q.schedule_ranked(at, q.now(), rank,
+                    [s = &s, box = net::packet_boxes().box(net::Packet(p))] {
+                      ++s->packets;
+                    });
+}
 
 struct DeliverySim {
   static constexpr std::uint32_t kSinks = 4;
@@ -174,10 +169,8 @@ struct DeliverySim {
     const net::SimTime at = q.now() + 1'000;
     std::uint32_t rank = 0;
     for (std::uint32_t g = 0; g < fanout; ++g) {
-      CountSink& s = sinks[g % kSinks];
       for (std::uint32_t j = 0; j < kGroup; ++j) {
-        q.schedule_delivery(at, q.now(), rank++, s, g % kSinks,
-                            net::packet_boxes().box(tmpl));
+        schedule_boxed(q, at, rank++, sinks[g % kSinks], tmpl);
       }
     }
     q.schedule_in(2'000, [this] { drive(); });
@@ -201,8 +194,7 @@ struct MixedSim {
     std::uint32_t rank = 0;
     for (std::uint32_t g = 0; g < fanout; ++g) {
       for (std::uint32_t j = 0; j < DeliverySim::kGroup; ++j) {
-        q.schedule_delivery(at, q.now(), rank++, sink, 0,
-                            net::packet_boxes().box(tmpl));
+        schedule_boxed(q, at, rank++, sink, tmpl);
       }
     }
     q.schedule_in(2'000, [this] { drive(); });
@@ -234,19 +226,13 @@ MixResult measure(Queue& q, std::uint64_t warm_events, std::uint64_t events) {
   return r;
 }
 
-void record(const std::string& mix, const MixResult& r, double base_eps,
-            double base_allocs) {
+void record(const std::string& mix, const MixResult& r) {
   obs::MetricsRegistry& reg = obs::registry();
   const std::string p = "bench/event/" + mix + "/";
   reg.gauge(p + "events_per_sec").set(r.eps);
   reg.gauge(p + "allocs_per_event").set(r.allocs_per_event);
-  reg.gauge(p + "heap_baseline_events_per_sec").set(base_eps);
-  reg.gauge(p + "heap_baseline_allocs_per_event").set(base_allocs);
-  reg.gauge(p + "speedup_vs_heap").set(base_eps > 0 ? r.eps / base_eps : 0);
-  std::printf("event: %-14s %8.3g events/s (%.2fx heap baseline %.3g) at "
-              "%.4f allocs/event (heap: %.3f)\n",
-              mix.c_str(), r.eps, base_eps > 0 ? r.eps / base_eps : 0, base_eps,
-              r.allocs_per_event, base_allocs);
+  std::printf("event: %-14s %8.3g events/s at %.4f allocs/event\n", mix.c_str(),
+              r.eps, r.allocs_per_event);
 }
 
 }  // namespace
@@ -257,18 +243,17 @@ int main(int argc, char** argv) {
   {
     TimerSim sim(16'384, 1);
     MixResult r = measure(sim.q, 2'000'000, 4'000'000);
-    record("timer_heavy", r, kHeapTimerHeavyEps, kHeapTimerHeavyAllocsPerEvent);
+    record("timer_heavy", r);
   }
   {
     DeliverySim sim(4);  // 4 groups of 16 → 64 deliveries per driver firing
     MixResult r = measure(sim.q, 1'500'000, 2'000'000);
-    record("delivery_heavy", r, kHeapDeliveryHeavyEps,
-           kHeapDeliveryHeavyAllocsPerEvent);
+    record("delivery_heavy", r);
   }
   {
     MixedSim sim(4'096, 1, 1);  // timer churn + 16 deliveries per 2 µs
     MixResult r = measure(sim.timers.q, 2'000'000, 4'000'000);
-    record("mixed", r, kHeapMixedEps, kHeapMixedAllocsPerEvent);
+    record("mixed", r);
   }
 
   mem::publish_metrics();

@@ -601,7 +601,7 @@ class BoxPool : public PoolBase {
   BoxPool(const BoxPool&) = delete;
   BoxPool& operator=(const BoxPool&) = delete;
 
-  /// Owner thread only.
+  /// Owner thread only. Callers holding an lvalue pass a copy: box(T(v)).
   Handle box(T&& v) {
     Node* n = take();
     if (n != nullptr) {
@@ -609,21 +609,6 @@ class BoxPool : public PoolBase {
     } else {
       n = fresh();
       n->value = std::move(v);
-    }
-    ++stats_.live;
-    return Handle(&n->value, Recycler{});
-  }
-
-  /// Copy-in overload: assigns straight into the recycled node, skipping the
-  /// temporary + move a `box(T(v))` call would pay. Used by batch producers
-  /// that fan one packet out into many boxes.
-  Handle box(const T& v) {
-    Node* n = take();
-    if (n != nullptr) {
-      n->value = v;
-    } else {
-      n = fresh();
-      n->value = v;
     }
     ++stats_.live;
     return Handle(&n->value, Recycler{});

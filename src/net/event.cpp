@@ -11,17 +11,6 @@ namespace asp::net {
 
 namespace {
 
-std::atomic<std::size_t>& default_batch_limit_slot() {
-  static std::atomic<std::size_t> limit{32};
-  return limit;
-}
-
-std::size_t clamp_batch_limit(std::size_t n) {
-  if (n < 1) return 1;
-  if (n > PacketBatch::kCapacity) return PacketBatch::kCapacity;
-  return n;
-}
-
 std::atomic<unsigned>& default_wlog_slot() {
   static std::atomic<unsigned> w{10};  // 1.024 µs level-0 buckets
   return w;
@@ -54,20 +43,9 @@ int scan_ring(const std::uint64_t* occ, unsigned from) {
 
 }  // namespace
 
-EventQueue::EventQueue()
-    : batch_limit_(default_batch_limit()), wlog_(default_bucket_width_log2()) {}
+EventQueue::EventQueue() : wlog_(default_bucket_width_log2()) {}
 
 EventQueue::~EventQueue() = default;
-
-void EventQueue::set_batch_limit(std::size_t n) { batch_limit_ = clamp_batch_limit(n); }
-
-void EventQueue::set_default_batch_limit(std::size_t n) {
-  default_batch_limit_slot().store(clamp_batch_limit(n), std::memory_order_relaxed);
-}
-
-std::size_t EventQueue::default_batch_limit() {
-  return default_batch_limit_slot().load(std::memory_order_relaxed);
-}
 
 void EventQueue::set_bucket_width_log2(unsigned w) {
   assert(occupied_ == 0 && "bucket width can only change on an empty queue");
@@ -132,7 +110,6 @@ EventId EventQueue::schedule_at(SimTime t, EventFn fn) {
   const std::uint32_t slot = alloc_slot();
   Entry& e = slab(slot);
   e.fn = std::move(fn);
-  e.sink = nullptr;
   e.state = kLive;
   ++pending_;
   place(Key{t, now_, seq_++, UINT32_MAX, slot});
@@ -145,22 +122,6 @@ EventId EventQueue::schedule_ranked(SimTime t, SimTime sched, std::uint32_t rank
   const std::uint32_t slot = alloc_slot();
   Entry& e = slab(slot);
   e.fn = std::move(fn);
-  e.sink = nullptr;
-  e.state = kLive;
-  ++pending_;
-  place(Key{t, sched, seq_++, rank, slot});
-  return (static_cast<EventId>(e.gen) << 32) | slot;
-}
-
-EventId EventQueue::schedule_delivery(SimTime t, SimTime sched, std::uint32_t rank,
-                                      DeliverySink& sink, std::uint32_t key,
-                                      PacketBatch::Box box) {
-  assert(t >= now_ && "cannot schedule in the past");
-  const std::uint32_t slot = alloc_slot();
-  Entry& e = slab(slot);
-  e.sink = &sink;
-  e.key = key;
-  e.box = std::move(box);
   e.state = kLive;
   ++pending_;
   place(Key{t, sched, seq_++, rank, slot});
@@ -179,8 +140,6 @@ void EventQueue::cancel(EventId id) {
   // bucket ever references a reused slot.
   e.state = kDead;
   e.fn = EventFn{};
-  e.box.reset();
-  e.sink = nullptr;
   --pending_;
 }
 
@@ -355,66 +314,22 @@ bool EventQueue::take_head(Key& out) {
 
 // --- draining -----------------------------------------------------------------
 
-std::uint64_t EventQueue::pop_some(std::uint64_t max_events) {
+bool EventQueue::pop_one() {
   Key k;
-  if (!take_head(k)) return 0;
-  Entry& e = slab(k.slot);
+  if (!take_head(k)) return false;
   now_ = k.time;
   --pending_;
-  if (e.sink == nullptr) {
-    EventFn fn = std::move(e.fn);
-    // Reclaim before invoking: a handler cancelling its own id (or a fired
-    // id, the old cancelled_-set leak) hits a bumped generation and no-ops.
-    free_slot(k.slot);
-    fn();
-    return 1;
-  }
-
-  // Batch drain. Safety rule (DESIGN.md §6c): an entry may join the batch
-  // only if it has the same (sink, key), the same timestamp, AND a schedule
-  // clock strictly before that timestamp. Anything a handler schedules
-  // while the batch runs carries sched == time (now_ == k.time), which
-  // sorts at-or-after every remaining member under the canonical
-  // comparator — so nothing that serial execution would have interleaved
-  // between two members can exist. Draining them together is therefore a
-  // pure reordering of *pop* operations, not of *execution* order.
-  DeliverySink* sink = e.sink;
-  const std::uint32_t dkey = e.key;
-  PacketBatch batch;
-  batch.push(std::move(e.box));
-  e.sink = nullptr;
+  EventFn fn = std::move(slab(k.slot).fn);
+  // Reclaim before invoking: a handler cancelling its own (now fired) id
+  // hits a bumped generation and no-ops.
   free_slot(k.slot);
-  const std::uint64_t want = batch_limit_ < max_events ? batch_limit_ : max_events;
-  while (batch.size() < want) {
-    const Key* h = peek_head();
-    if (h == nullptr || h->time != k.time || h->sched >= k.time) break;
-    Entry& pe = slab(h->slot);
-    if (pe.sink != sink || pe.key != dkey) break;
-    const std::uint32_t slot = h->slot;
-    if (spos_ < sorted_.size() && h == &sorted_[spos_]) {
-      ++spos_;
-    } else {
-      std::pop_heap(incur_.begin(), incur_.end(),
-                    [](const Key& a, const Key& b) { return key_less(b, a); });
-      incur_.pop_back();
-    }
-    --pending_;
-    batch.push(std::move(pe.box));
-    pe.sink = nullptr;
-    free_slot(slot);
-  }
-  const std::uint64_t n = batch.size();
-  sink->deliver_batch(dkey, std::move(batch));
-  return n;
+  fn();
+  return true;
 }
 
 std::uint64_t EventQueue::run(std::uint64_t limit) {
   std::uint64_t n = 0;
-  while (n < limit) {
-    std::uint64_t ran = pop_some(limit - n);
-    if (ran == 0) break;
-    n += ran;
-  }
+  while (n < limit && pop_one()) ++n;
   return n;
 }
 
@@ -431,7 +346,8 @@ std::uint64_t EventQueue::run_until(SimTime t) {
   // move the drain cursor past t; anything scheduled into the gap afterwards
   // routes through the incursion heap, preserving canonical order.
   while (next_event_time() <= t) {
-    n += pop_some(UINT64_MAX);
+    pop_one();
+    ++n;
   }
   if (now_ < t) now_ = t;
   return n;

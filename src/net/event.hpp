@@ -10,11 +10,10 @@
 //
 // Implementation (DESIGN.md §6h): a deterministic hierarchical calendar
 // queue. Entries live in a pooled slab (chunks tagged mem::AllocTag::kEvent)
-// and are ordered through 32-byte sort keys only — the ~100-byte payload
-// (SmallFn capture, delivery box) never moves during ordering. Scheduling
-// and cancelling are O(1); cancel is a generation-checked handle
-// invalidation, so there is no cancelled-id side table to leak or to rehash
-// on the hot path. Buckets drain in canonical (time, sched, rank, seq)
+// and are ordered through 32-byte sort keys only — the payload (the SmallFn
+// capture) never moves during ordering. Scheduling and cancelling are O(1);
+// cancel is a generation-checked handle invalidation, so there is no
+// cancelled-id side table to leak or to rehash on the hot path. Buckets drain in canonical (time, sched, rank, seq)
 // order, byte-identical to the previous binary-heap implementation.
 #pragma once
 
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "mem/smallfn.hpp"
-#include "net/batch.hpp"
 #include "net/time.hpp"
 
 namespace asp::net {
@@ -45,14 +43,6 @@ using EventFn = mem::SmallFn<64>;
 /// rules coincide (now() never decreases, so FIFO sequence numbers already
 /// order by schedule clock); the distinction only matters for cross-shard
 /// merges, see net/exec.cpp.
-///
-/// Packet deliveries scheduled via schedule_delivery() additionally
-/// participate in BATCH DRAINING: when the head of the queue is a delivery,
-/// up to batch_limit() consecutive same-timestamp deliveries with the same
-/// (sink, key) are popped together and handed to the sink as one
-/// PacketBatch. The drain is order-preserving by construction — see the
-/// safety-rule comment on pop_some() — so any batch limit (including 1)
-/// produces byte-identical simulations.
 class EventQueue {
  public:
   EventQueue();
@@ -72,18 +62,6 @@ class EventQueue {
   /// the determinism contract's canonical order (DESIGN.md §6f).
   EventId schedule_ranked(SimTime t, SimTime sched, std::uint32_t rank, EventFn fn);
 
-  /// Schedules a batchable packet delivery: at time `t` the boxed packet is
-  /// handed to `sink` (with `key` disambiguating the sink's input), possibly
-  /// grouped with adjacent same-(sink, key, t) deliveries into one
-  /// PacketBatch. (`sched`, `rank`) is the same canonical tie-break key as
-  /// schedule_ranked — media stamp the sender clock / topo index here.
-  /// The returned id is for bookkeeping symmetry only: batched deliveries
-  /// are part of the non-cancellable delivery contract (net/batch.hpp) and
-  /// media discard it.
-  EventId schedule_delivery(SimTime t, SimTime sched, std::uint32_t rank,
-                            DeliverySink& sink, std::uint32_t key,
-                            PacketBatch::Box box);
-
   /// Schedules `fn` to run `delay` after the current time.
   EventId schedule_in(SimTime delay, EventFn fn) {
     return schedule_at(now_ + delay, std::move(fn));
@@ -97,8 +75,7 @@ class EventQueue {
   void cancel(EventId id);
 
   /// Runs events until the queue is empty or `limit` events have run.
-  /// Returns the number of events executed (each batched delivery counts as
-  /// one event per packet; a drain never collects past the remaining limit).
+  /// Returns the number of events executed.
   std::uint64_t run(std::uint64_t limit = UINT64_MAX);
 
   /// Runs events with timestamps <= `t`; afterwards now() == t.
@@ -122,18 +99,6 @@ class EventQueue {
   /// coordinator reads this at window barriers to size the next safe window.
   SimTime next_event_time();
 
-  /// Maximum deliveries drained into one PacketBatch (clamped to
-  /// [1, PacketBatch::kCapacity]; 1 disables batching). Per-queue; new
-  /// queues start from default_batch_limit().
-  void set_batch_limit(std::size_t n);
-  std::size_t batch_limit() const { return batch_limit_; }
-
-  /// Process-wide default applied to queues constructed afterwards (the
-  /// parallel executor's shard queues inherit it too). Tests sweep this to
-  /// prove batched-vs-single equivalence.
-  static void set_default_batch_limit(std::size_t n);
-  static std::size_t default_batch_limit();
-
   /// log2 of the level-0 calendar bucket width in ns (clamped to [4, 20];
   /// default 10 → 1.024 µs buckets, each wheel level 256× coarser). Purely a
   /// performance knob: buckets partition time and drain in canonical order,
@@ -143,8 +108,8 @@ class EventQueue {
   void set_bucket_width_log2(unsigned w);
   unsigned bucket_width_log2() const { return wlog_; }
 
-  /// Process-wide default applied to queues constructed afterwards, like
-  /// set_default_batch_limit().
+  /// Process-wide default applied to queues constructed afterwards (the
+  /// parallel executor's shard queues inherit it too).
   static void set_default_bucket_width_log2(unsigned w);
   static unsigned default_bucket_width_log2();
 
@@ -168,17 +133,10 @@ class EventQueue {
   // net::packet_boxes() and capture the pointer-sized box handle instead of
   // the ~150-byte Packet (see medium.cpp / node.cpp).
   //
-  // Delivery entries bypass `fn` entirely: they carry (sink, key, box)
-  // directly so the batch drain can move the boxes out without invoking
-  // anything.
-  //
   // The slot's payload. Ordering fields live in Key, not here: the slab
   // entry is written once at schedule and read once at drain.
   struct Entry {
     EventFn fn;
-    DeliverySink* sink = nullptr;  // non-null: batchable delivery entry
-    PacketBatch::Box box{};
-    std::uint32_t key = 0;
     std::uint32_t gen = 1;        // bumps on reclaim; 0 is never issued
     std::uint32_t next_free = 0;  // freelist link while FREE
     std::uint8_t state = 0;       // kFree / kLive / kDead
@@ -224,13 +182,12 @@ class EventQueue {
   bool take_head(Key& out);       // consume the canonical head (skips dead)
   const Key* peek_head();         // canonical head without consuming, or null
   void prune_dead_heads();
-  std::uint64_t pop_some(std::uint64_t max_events);
+  bool pop_one();                 // runs the canonical head; false if none
 
   SimTime now_ = 0;
   std::uint64_t seq_ = 1;         // canonical FIFO tie-break (old next_id_)
   std::size_t pending_ = 0;       // live (non-cancelled, not-yet-run) entries
   std::size_t occupied_ = 0;      // live + cancelled-but-undrained slots
-  std::size_t batch_limit_;
   unsigned wlog_;
 
   // Drain cursor: absolute level-0 bucket number currently sealed. Entries

@@ -273,17 +273,12 @@ void ParallelExecutor::merge_mailboxes() {
     });
     for (CrossShardMsg* m : msgs) {
       assert(m->arrival > sh.queue->now() && "window safety violated");
-      PointToPointLink* link = m->link;
-      int end = m->end;
       // Reconstruct the canonical delivery key — (sender transmit clock,
       // sender topo index) — that the serial path stamps in
       // PointToPointLink::schedule_delivery, so a merged delivery sorts
-      // exactly where the serial run would have put it. Scheduled as a
-      // batchable delivery entry: merged frames take the same batch-drain
-      // path as local ones.
-      sh.queue->schedule_delivery(m->arrival, m->sent, m->sender_topo, *link,
-                                  static_cast<std::uint32_t>(end),
-                                  packet_boxes().box(std::move(m->packet)));
+      // exactly where the serial run would have put it.
+      m->link->schedule_arrival(*sh.queue, m->arrival, m->sent, m->sender_topo,
+                                m->end, std::move(m->packet));
       delete m;
       ++stats_.cross_messages;
     }

@@ -86,19 +86,15 @@ void PointToPointLink::deliver_arrival(int end, Packet&& p) {
   in.node()->receive(std::move(p), in);
 }
 
-void PointToPointLink::deliver_batch(std::uint32_t key, PacketBatch&& batch) {
-  const int end = static_cast<int>(key);
-  if (!link_up()) {  // partition started while the frames were in flight
-    // link_up_ only flips from scheduled events, which the batch drain never
-    // crosses (they fail the same-(sink,key,time) predicate), so one check
-    // covers — and disposes of — the whole batch, exactly as N serial checks
-    // would have.
-    for (std::size_t i = 0; i < batch.size(); ++i) count_drop_down();
-    return;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) note_delivered(batch[i]);
-  Interface& in = *ends_[end];
-  in.node()->receive_batch(std::move(batch), in);
+void PointToPointLink::schedule_arrival(EventQueue& q, SimTime arrival,
+                                       SimTime sched, std::uint32_t rank, int end,
+                                       Packet&& p) {
+  // The in-flight Packet rides in a pooled box, so the capture — (this, end,
+  // box), 24 bytes — stays inside EventFn's inline buffer.
+  q.schedule_ranked(arrival, sched, rank,
+                    [this, end, box = packet_boxes().box(std::move(p))]() mutable {
+                      deliver_arrival(end, std::move(*box));
+                    });
 }
 
 void PointToPointLink::schedule_delivery(Interface* to, Packet&& p, SimTime arrival) {
@@ -109,18 +105,13 @@ void PointToPointLink::schedule_delivery(Interface* to, Packet&& p, SimTime arri
     cross_[end](arrival, std::move(p));
     return;
   }
-  // The in-flight Packet rides in a pooled box; the delivery entry carries
-  // (sink=this, key=end, box) directly, so the queue's batch drain can group
-  // it with adjacent same-destination deliveries (net/batch.hpp).
-  //
-  // schedule_delivery stamps the canonical (sender clock, sender topo index)
-  // tie-break so serial and sharded runs order same-nanosecond deliveries
-  // identically (the cross-shard path above reconstructs exactly this key
-  // when the mailbox is merged).
+  // The canonical (sender clock, sender topo index) tie-break orders
+  // same-nanosecond deliveries identically in serial and sharded runs (the
+  // cross-shard path above reconstructs exactly this key when the mailbox is
+  // merged).
   Node* sender = ends_[1 - end]->node();
-  events_->schedule_delivery(arrival, sender->events().now(), sender->topo_index(),
-                             *this, static_cast<std::uint32_t>(end),
-                             packet_boxes().box(std::move(p)));
+  schedule_arrival(*events_, arrival, sender->events().now(), sender->topo_index(),
+                   end, std::move(p));
 }
 
 void PointToPointLink::transmit(Interface& from, Packet p) {
@@ -164,51 +155,13 @@ void PointToPointLink::transmit(Interface& from, Packet p) {
 
 void EthernetSegment::schedule_delivery(const Interface* from, Packet&& p,
                                         SimTime arrival) {
-  // Same (sched=now, rank=max) tie-break key the plain schedule_at path
-  // stamped before deliveries became batchable: segment frames keep sorting
-  // exactly where they always did. key = the sender's slot, so only frames
-  // from the same station share a batch.
-  events_->schedule_delivery(arrival, events_->now(), UINT32_MAX, *this,
-                             from->medium_slot(), packet_boxes().box(std::move(p)));
-}
-
-void EthernetSegment::deliver_batch(std::uint32_t key, PacketBatch&& batch) {
-  const Interface& from = *ifaces_.at(key);
-  if (!link_up()) {  // same single-check argument as PointToPointLink
-    for (std::size_t i = 0; i < batch.size(); ++i) count_drop_down();
-    return;
-  }
-  // A promiscuous listener sees every frame, interleaved with the addressed
-  // receiver in serial order — regrouping would reorder, so fall back.
-  bool promiscuous = false;
-  for (const Interface* iface : ifaces_) promiscuous |= iface->promiscuous();
-
-  PacketBatch group;
-  Interface* group_target = nullptr;
-  auto flush = [&] {
-    if (group.empty()) return;
-    group_target->node()->receive_batch(std::move(group), *group_target);
-    group = PacketBatch{};
-  };
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Packet& p = batch[i];
-    if (p.ip.dst.is_multicast() || promiscuous) {
-      flush();
-      deliver(from, std::move(p));
-      continue;
-    }
-    Interface* target = unicast_target(from, p);
-    if (target == nullptr) {
-      flush();
-      count_drop_unaddressed();
-      continue;
-    }
-    if (target != group_target) flush();
-    group_target = target;
-    note_delivered(p);
-    group.push(batch.take(i));
-  }
-  flush();
+  // Plain schedule_at: segment frames sort under the implicit
+  // (sched = now, rank = UINT32_MAX) key. The sender is named by its slot,
+  // resolved at arrival (the interface may have been repointed meanwhile).
+  events_->schedule_at(arrival, [this, slot = from->medium_slot(),
+                                 box = packet_boxes().box(std::move(p))]() mutable {
+    deliver(slot, std::move(*box));
+  });
 }
 
 void EthernetSegment::transmit(Interface& from, Packet p) {
@@ -256,7 +209,12 @@ Interface* EthernetSegment::unicast_target(const Interface& from,
   return nullptr;
 }
 
-void EthernetSegment::deliver(const Interface& from, Packet&& p) {
+void EthernetSegment::deliver(std::uint32_t from_slot, Packet&& p) {
+  if (!link_up()) {  // partition started while the frame was in flight
+    count_drop_down();
+    return;
+  }
+  const Interface& from = *ifaces_[from_slot];
   // Fan-out discipline: every receiver but the last gets a COW copy (aliasing
   // the one payload buffer); the final receiver gets the packet moved in.
   auto hand_copy = [&](Interface* iface) {

@@ -173,16 +173,6 @@ void Node::receive(Packet p, Interface& in) {
   standard_ip(std::move(p), in);
 }
 
-void Node::receive_batch(PacketBatch&& batch, Interface& in) {
-  if (ip_batch_hook_) {
-    ip_batch_hook_(std::move(batch), in);
-    return;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    receive(std::move(*batch.take(i)), in);
-  }
-}
-
 void Node::standard_ip(Packet p, Interface& in) {
   if (p.ip.dst.is_multicast()) {
     if (in_group(p.ip.dst)) deliver_local(p);

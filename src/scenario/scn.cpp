@@ -1,5 +1,7 @@
 #include "scenario/scn.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -15,18 +17,26 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+// Integers outside the target type are rejected, never wrapped.
 bool to_int(const std::string& v, int& out) {
   char* end = nullptr;
-  long x = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') return false;
+  errno = 0;
+  const long x = std::strtol(v.c_str(), &end, 10);
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE) return false;
+  if (x < INT_MIN || x > INT_MAX) return false;
   out = static_cast<int>(x);
   return true;
 }
 
 bool to_u64(const std::string& v, std::uint64_t& out) {
+  // strtoull negates a leading '-' instead of rejecting it.
+  if (v.find('-') != std::string::npos) return false;
   char* end = nullptr;
-  out = std::strtoull(v.c_str(), &end, 10);
-  return end != v.c_str() && *end == '\0';
+  errno = 0;
+  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE) return false;
+  out = x;
+  return true;
 }
 
 bool to_double(const std::string& v, double& out) {

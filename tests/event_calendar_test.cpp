@@ -2,8 +2,7 @@
 // cancellation (the cancelled-set accounting leak regression, stale-handle
 // safety across slot reuse), far-band / cascade ordering, and the bucket
 // width determinism sweep — any level-0 bucket width must produce
-// byte-identical simulations at any shard count, exactly like the batch
-// limit sweep in batch_equivalence_test.cpp.
+// byte-identical simulations at any shard count.
 #include <memory>
 #include <string>
 #include <vector>
@@ -177,8 +176,7 @@ struct ScopedBucketWidth {
   ~ScopedBucketWidth() { EventQueue::set_default_bucket_width_log2(saved); }
 };
 
-// The calendar analogue of batch_equivalence_test.cpp's batch-limit sweep:
-// bucket width is a pure performance knob, so every width × shard-count
+// Bucket width is a pure performance knob, so every width × shard-count
 // combination must produce byte-identical metrics JSON on the checked-in
 // 1k-node fat-tree.
 TEST(EventCalendarDeterminism, WidthByShardSweepOn1kFatTree) {

@@ -2,6 +2,7 @@
 // determinism, island structure, the .scn parser's reject-typos policy, the
 // serial-vs-sharded determinism gate on the checked-in 1k-node scenario, and
 // the tx_time rounding regression that the 10^5-user workloads exposed.
+#include <climits>
 #include <cstdint>
 #include <string>
 
@@ -197,6 +198,28 @@ TEST(ScnParser, RejectsBadValues) {
   EXPECT_FALSE(parse_scn("[workload]\nprofile = cbr\n", cfg, err));
   EXPECT_FALSE(parse_scn("[impairments]\nscope = sometimes\n", cfg, err));
   EXPECT_FALSE(parse_scn("[asp]\nmonitors = everywhere\n", cfg, err));
+  // Integers that do not fit their field are errors, not wrapped values:
+  // 2^32 + 4 (an int cast gives 4), below INT_MIN, past LONG_MAX (ERANGE),
+  // -1 (strtoull negates it to 2^64 - 1), 2^64 (ERANGE), a negative seed.
+  for (const char* text : {
+           "[topology]\nk = 4294967300\n",
+           "[topology]\nk = -2147483649\n",
+           "[topology]\nk = 99999999999999999999\n",
+           "[workload]\nusers = -1\n",
+           "[workload]\nusers = 18446744073709551616\n",
+           "[workload]\nseed = -5\n",
+       }) {
+    err.clear();
+    EXPECT_FALSE(parse_scn(text, cfg, err)) << text;
+    EXPECT_NE(err.find("line 2"), std::string::npos) << text << ": " << err;
+  }
+  // The boundaries themselves still parse.
+  ASSERT_TRUE(parse_scn("[topology]\nk = 2147483647\n"
+                        "[workload]\nusers = 18446744073709551615\n",
+                        cfg, err))
+      << err;
+  EXPECT_EQ(cfg.topology.k, INT_MAX);
+  EXPECT_EQ(cfg.workload.users, UINT64_MAX);
 }
 
 TEST(ScnParser, CacheProfileSetsObjectUniverse) {
