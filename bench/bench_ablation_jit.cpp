@@ -1,12 +1,10 @@
-// Ablation: what each ingredient of the run-time specializer buys.
+// Ablation: what the run-time specializer buys over the reference
+// interpreter on the audio router ASP.
 //
-// DESIGN.md calls out two design choices in the Tempo-analog: (i) pre-decoded
-// templates with patched constants/primitive pointers, (ii) superinstruction
-// fusion of common sequences (header projections, 1-arg primitive calls,
-// compare-against-constant). This bench isolates them:
-//   interpreter -> bytecode VM       : the value of compiling at all
-//   bytecode VM -> JIT (no fusion)   : the value of template patching
-//   JIT (no fusion) -> JIT (fusion)  : the value of fusion
+//   interpreter -> JIT : typed register templates with patched constants,
+//                        primitive pointers and in-place arguments (DESIGN.md)
+//
+// plus the code shape: bytecode instructions in, templates out.
 #include <benchmark/benchmark.h>
 
 #include "apps/asp_sources.hpp"
@@ -60,40 +58,28 @@ void BM_Ablation_Interp(benchmark::State& state) {
 }
 BENCHMARK(BM_Ablation_Interp);
 
-void BM_Ablation_BytecodeVm(benchmark::State& state) {
+void BM_Ablation_Jit(benchmark::State& state) {
   Fixture fx;
-  planp::VmEngine engine(fx.compiled, fx.env);
+  planp::JitEngine engine(fx.compiled, fx.env);
   fx.pump(state, engine);
 }
-BENCHMARK(BM_Ablation_BytecodeVm);
+BENCHMARK(BM_Ablation_Jit);
 
-void BM_Ablation_JitNoFusion(benchmark::State& state) {
-  Fixture fx;
-  planp::JitEngine engine(fx.compiled, fx.env, /*fuse=*/false);
-  fx.pump(state, engine);
-}
-BENCHMARK(BM_Ablation_JitNoFusion);
-
-void BM_Ablation_JitFused(benchmark::State& state) {
-  Fixture fx;
-  planp::JitEngine engine(fx.compiled, fx.env, /*fuse=*/true);
-  fx.pump(state, engine);
-}
-BENCHMARK(BM_Ablation_JitFused);
-
-// Template counts: fusion compresses the code (reported once as a counter).
+// Code shape: the stack bytecode against the register templates it becomes
+// (loads and stores fold into their users; reported once as counters).
 void BM_Ablation_TemplateCounts(benchmark::State& state) {
   Fixture fx;
-  std::size_t fused = 0, unfused = 0;
-  for (const auto& b : fx.compiled.channel_bodies) {
-    fused += planp::specialize_block(b, fx.compiled, true).code.size();
-    unfused += planp::specialize_block(b, fx.compiled, false).code.size();
+  planp::JitEngine engine(fx.compiled, fx.env);
+  std::size_t bytecode = 0, templates = 0;
+  for (std::size_t i = 0; i < fx.compiled.channel_bodies.size(); ++i) {
+    bytecode += fx.compiled.channel_bodies[i].code.size();
+    templates += engine.channel_block(static_cast<int>(i)).code.size();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fused);
+    benchmark::DoNotOptimize(templates);
   }
-  state.counters["templates_fused"] = static_cast<double>(fused);
-  state.counters["templates_unfused"] = static_cast<double>(unfused);
+  state.counters["bytecode_instrs"] = static_cast<double>(bytecode);
+  state.counters["templates"] = static_cast<double>(templates);
 }
 BENCHMARK(BM_Ablation_TemplateCounts)->Iterations(1);
 

@@ -55,18 +55,17 @@ void print_table() {
 
 void BM_CodegenOnly(benchmark::State& state) {
   // Pure specialization cost: bytecode -> patched templates (what happens at
-  // download time after the program has been verified).
+  // download time after the program has been verified), through the engine
+  // a router installs: top-level vals evaluated and patched in, pure calls
+  // on constants folded.
   auto progs = programs();
   const Prog& p = progs[static_cast<std::size_t>(state.range(0))];
   planp::CheckedProgram checked = planp::typecheck(planp::parse(p.source));
   planp::CompiledProgram compiled = planp::compile(checked);
+  planp::NullEnv env;
   for (auto _ : state) {
-    for (const auto& b : compiled.channel_bodies) {
-      benchmark::DoNotOptimize(planp::specialize_block(b, compiled));
-    }
-    for (const auto& b : compiled.functions) {
-      benchmark::DoNotOptimize(planp::specialize_block(b, compiled));
-    }
+    planp::JitEngine jit(compiled, env);
+    benchmark::DoNotOptimize(&jit);
   }
   state.SetLabel(p.name);
 }

@@ -74,7 +74,7 @@ enum class AllocTag : std::uint8_t {
   kOther = 0,
   kBuffer,  // payload / blob byte storage
   kTuple,   // PLAN-P tuple storage
-  kFrame,   // interpreter / VM / JIT execution frames
+  kFrame,   // interpreter / JIT execution frames
   kEvent,   // event-queue callbacks (oversized captures)
   kCount,
 };
@@ -690,9 +690,9 @@ class BoxPool : public PoolBase {
 
 // --- frame arena --------------------------------------------------------------
 
-/// Depth-indexed execution frames for the PLAN-P engines: frame d serves
-/// call depth d, so the LIFO call discipline reuses the same locals / stack /
-/// args vectors (and their capacity) packet after packet instead of
+/// Depth-indexed execution frames for the PLAN-P interpreter: frame d serves
+/// call depth d, so the LIFO call discipline reuses the same locals / args
+/// vectors (and their capacity) packet after packet instead of
 /// constructing fresh std::vectors per call. Frames are held by unique_ptr,
 /// so references handed out stay stable while deeper frames are created.
 /// Engine-confined (an engine runs on one shard at a time), so no routing.
@@ -701,7 +701,6 @@ class FrameArena {
  public:
   struct Frame {
     std::vector<T> locals;
-    std::vector<T> stack;
     std::vector<T> args;
   };
 
@@ -725,7 +724,6 @@ class FrameArena {
     if (d >= frames_.size()) return;
     Frame& f = *frames_[d];
     std::fill(f.locals.begin(), f.locals.end(), sentinel);
-    std::fill(f.stack.begin(), f.stack.end(), sentinel);
     std::fill(f.args.begin(), f.args.end(), sentinel);
   }
 

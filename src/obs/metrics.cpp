@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -11,28 +12,35 @@ namespace asp::obs {
 
 namespace {
 
-// Bucket index for a value: 0 for v <= 1, else ceil(log2(v)) clamped to the
-// last bucket. Computed with integer shifts to stay exact at the power-of-two
-// boundaries (bucket i covers (2^(i-1), 2^i]).
-int bucket_index(double v) {
-  if (!(v > 1.0)) return 0;  // also catches NaN
-  if (v >= 9.223372036854776e18) return Histogram::kBuckets - 1;
-  auto u = static_cast<std::uint64_t>(std::ceil(v));
-  int idx = 0;
-  std::uint64_t bound = 1;
-  while (bound < u && idx < Histogram::kBuckets - 1) {
-    bound <<= 1;
-    ++idx;
-  }
-  return idx;
+// log2(kLinear): ticks [2^kFirstOctave, 2^(kFirstOctave+1)) are the first
+// octave split into sub-buckets.
+constexpr int kFirstOctave = Histogram::kSubBits + 1;
+
+// Tick bounds of bucket i: [tick_lower(i), tick_lower(i + 1)).
+std::uint64_t tick_lower(int i) {
+  if (i < Histogram::kLinear) return static_cast<std::uint64_t>(i);
+  const int o = (i - Histogram::kLinear) / Histogram::kSub;
+  const auto sub = static_cast<std::uint64_t>((i - Histogram::kLinear) % Histogram::kSub);
+  return (Histogram::kSub + sub) << (o + kFirstOctave - Histogram::kSubBits);
 }
 
 }  // namespace
 
+int Histogram::bucket_of(double v) {
+  if (!(v > 0)) return 0;  // also catches NaN
+  const double ticks = v * kSub;
+  if (ticks >= static_cast<double>(tick_lower(kBuckets - 1))) return kBuckets - 1;
+  const auto u = static_cast<std::uint64_t>(ticks);  // floor
+  if (u < static_cast<std::uint64_t>(kLinear)) return static_cast<int>(u);
+  const int m = std::bit_width(u) - 1;  // u in [2^m, 2^(m+1)), m >= kFirstOctave
+  const auto sub = static_cast<int>((u >> (m - kSubBits)) - kSub);
+  return kLinear + (m - kFirstOctave) * kSub + sub;
+}
+
 void Histogram::observe(double v) {
   if (std::isnan(v)) return;
   if (v < 0) v = 0;
-  ++buckets_[static_cast<std::size_t>(bucket_index(v))];
+  ++buckets_[static_cast<std::size_t>(bucket_of(v))];
   if (count_ == 0) {
     min_ = max_ = v;
   } else {
@@ -43,8 +51,16 @@ void Histogram::observe(double v) {
   sum_ += v;
 }
 
+double Histogram::bucket_lower_bound(int i) {
+  return static_cast<double>(tick_lower(i)) / kSub;
+}
+
 double Histogram::bucket_upper_bound(int i) {
-  return i <= 0 ? 1.0 : std::ldexp(1.0, i);
+  if (i < kBuckets - 1) return bucket_lower_bound(i + 1);
+  const int top = kBuckets - 1 - kLinear;  // the last octave's last sub-bucket
+  return static_cast<double>(tick_lower(kBuckets - 1) +
+                             (std::uint64_t{1} << (top / kSub + kFirstOctave - kSubBits))) /
+         kSub;
 }
 
 double Histogram::quantile(double q) const {
@@ -59,7 +75,7 @@ double Histogram::quantile(double q) const {
     if (static_cast<double>(cum + in_bucket) >= target) {
       // Interpolate within the bucket, clamping its nominal bounds to the
       // observed range so degenerate buckets don't overshoot.
-      double lo = i == 0 ? 0.0 : bucket_upper_bound(i - 1);
+      double lo = bucket_lower_bound(i);
       double hi = bucket_upper_bound(i);
       if (lo < min_) lo = min_;
       if (hi > max_) hi = max_;

@@ -1,5 +1,6 @@
 #include "planp/compile.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace asp::planp {
@@ -37,15 +38,19 @@ class Compiler {
   CompiledProgram run() {
     out_.source = &prog_;
     for (const ValDef* v : prog_.globals) {
-      out_.global_inits.push_back(block(*v->init, /*frame_slots=*/8));
+      out_.global_inits.push_back(block(*v->init, 0, {}));
     }
     for (const FunDef* f : prog_.functions) {
-      out_.functions.push_back(block(*f->body, f->frame_slots));
+      std::vector<Type::Kind> params;
+      for (const auto& p : f->params) params.push_back(p.second->kind());
+      out_.functions.push_back(block(*f->body, f->frame_slots, std::move(params)));
     }
     for (const ChannelDef* c : prog_.channels) {
-      out_.channel_bodies.push_back(block(*c->body, c->frame_slots));
+      out_.channel_bodies.push_back(
+          block(*c->body, c->frame_slots,
+                {c->ps_type->kind(), c->ss_type->kind(), c->packet_type->kind()}));
       if (c->init_state != nullptr) {
-        out_.channel_inits.push_back(block(*c->init_state, /*frame_slots=*/8));
+        out_.channel_inits.push_back(block(*c->init_state, 0, {}));
       } else {
         out_.channel_inits.push_back(CodeBlock{});
       }
@@ -54,7 +59,7 @@ class Compiler {
   }
 
  private:
-  CodeBlock block(const Expr& body, int frame_slots) {
+  CodeBlock block(const Expr& body, int frame_slots, std::vector<Type::Kind> params) {
     code_.clear();
     depth_ = 0;
     max_depth_ = 0;
@@ -62,16 +67,29 @@ class Compiler {
     emit(Op::kReturn, 0, 0, -1);
     CodeBlock b;
     b.code = std::move(code_);
-    b.frame_slots = frame_slots;
+    // Initializers are checked with a fresh slot counter the checker does
+    // not report, so size every frame from the slots the code touches.
+    b.frame_slots = std::max(frame_slots, static_cast<int>(params.size()));
+    for (const Instr& in : b.code) {
+      if (in.op == Op::kLoadLocal || in.op == Op::kStoreLocal) {
+        b.frame_slots = std::max(b.frame_slots, in.a + 1);
+      }
+    }
     b.max_stack = max_depth_ + 4;
+    b.params = std::move(params);
     return b;
   }
 
-  int emit(Op op, std::int32_t a, std::int32_t b, int stack_delta) {
-    code_.push_back(Instr{op, a, b});
+  int emit(Op op, std::int32_t a, std::int32_t b, int stack_delta,
+           Type::Kind ty = Type::Kind::kUnit) {
+    code_.push_back(Instr{op, a, b, ty});
     depth_ += stack_delta;
     max_depth_ = std::max(max_depth_, depth_);
     return static_cast<int>(code_.size()) - 1;
+  }
+
+  static Type::Kind kind_of(const Expr& e) {
+    return e.type != nullptr ? e.type->kind() : Type::Kind::kBottom;
   }
 
   std::int32_t constant(Value v) {
@@ -96,19 +114,20 @@ class Compiler {
     using K = Expr::Kind;
     switch (e.kind) {
       case K::kIntLit:
-        emit(Op::kConst, constant(Value::of_int(e.int_val)), 0, +1);
+        emit(Op::kConst, constant(Value::of_int(e.int_val)), 0, +1, Type::Kind::kInt);
         return;
       case K::kBoolLit:
-        emit(Op::kConst, constant(Value::of_bool(e.bool_val)), 0, +1);
+        emit(Op::kConst, constant(Value::of_bool(e.bool_val)), 0, +1, Type::Kind::kBool);
         return;
       case K::kCharLit:
-        emit(Op::kConst, constant(Value::of_char(e.char_val)), 0, +1);
+        emit(Op::kConst, constant(Value::of_char(e.char_val)), 0, +1, Type::Kind::kChar);
         return;
       case K::kStringLit:
-        emit(Op::kConst, constant(Value::of_string(e.str_val)), 0, +1);
+        emit(Op::kConst, constant(Value::of_string(e.str_val)), 0, +1,
+             Type::Kind::kString);
         return;
       case K::kHostLit:
-        emit(Op::kConst, constant(Value::of_host(e.host_val)), 0, +1);
+        emit(Op::kConst, constant(Value::of_host(e.host_val)), 0, +1, Type::Kind::kHost);
         return;
       case K::kUnitLit:
         emit(Op::kConst, constant(Value::unit()), 0, +1);
@@ -116,25 +135,25 @@ class Compiler {
 
       case K::kVar:
         if (is_local_var(e.var_slot)) {
-          emit(Op::kLoadLocal, e.var_slot, 0, +1);
+          emit(Op::kLoadLocal, e.var_slot, 0, +1, kind_of(e));
         } else {
-          emit(Op::kLoadGlobal, global_index(e.var_slot), 0, +1);
+          emit(Op::kLoadGlobal, global_index(e.var_slot), 0, +1, kind_of(e));
         }
         return;
 
       case K::kLet:
         emit_expr(*e.args[0]);
-        emit(Op::kStoreLocal, e.var_slot, 0, -1);
+        emit(Op::kStoreLocal, e.var_slot, 0, -1, e.decl_type->kind());
         emit_expr(*e.args[1]);
         return;
 
       case K::kIf: {
-        emit_expr(*e.args[0]);
-        int jf = emit(Op::kJumpIfFalse, 0, 0, -1);
+        std::vector<int> to_else;
+        emit_branch(*e.args[0], /*when=*/false, to_else);
         emit_expr(*e.args[1]);
         int depth_after_then = depth_;
         int jend = emit(Op::kJump, 0, 0, 0);
-        patch(jf, here());
+        for (int j : to_else) patch(j, here());
         depth_ = depth_after_then - 1;  // else starts from pre-then depth
         emit_expr(*e.args[2]);
         patch(jend, here());
@@ -152,21 +171,22 @@ class Compiler {
       case K::kTuple:
         for (const auto& a : e.args) emit_expr(*a);
         emit(Op::kMakeTuple, static_cast<std::int32_t>(e.args.size()), 0,
-             1 - static_cast<int>(e.args.size()));
+             1 - static_cast<int>(e.args.size()), Type::Kind::kTuple);
         return;
 
       case K::kProj:
         emit_expr(*e.args[0]);
-        emit(Op::kProj, e.proj_index - 1, 0, 0);
+        emit(Op::kProj, e.proj_index - 1, 0, 0, kind_of(e));
         return;
 
       case K::kCall: {
         for (const auto& a : e.args) emit_expr(*a);
         int nargs = static_cast<int>(e.args.size());
         if (is_primitive_call(e.call_target)) {
-          emit(Op::kCallPrim, e.call_target, nargs, 1 - nargs);
+          emit(Op::kCallPrim, e.call_target, nargs, 1 - nargs, kind_of(e));
         } else {
-          emit(Op::kCallFun, user_fun_index(e.call_target), nargs, 1 - nargs);
+          emit(Op::kCallFun, user_fun_index(e.call_target), nargs, 1 - nargs,
+               kind_of(e));
         }
         return;
       }
@@ -174,12 +194,12 @@ class Compiler {
       case K::kBinOp:
         emit_expr(*e.args[0]);
         emit_expr(*e.args[1]);
-        emit(Op::kBinOp, static_cast<std::int32_t>(bin_code(e.name)), 0, -1);
+        emit(Op::kBinOp, static_cast<std::int32_t>(bin_code(e.name)), 0, -1, kind_of(e));
         return;
 
       case K::kUnOp:
         emit_expr(*e.args[0]);
-        emit(e.name == "not" ? Op::kNot : Op::kNeg, 0, 0, 0);
+        emit(e.name == "not" ? Op::kNot : Op::kNeg, 0, 0, 0, kind_of(e));
         return;
 
       case K::kAnd: {
@@ -190,7 +210,7 @@ class Compiler {
         int jend = emit(Op::kJump, 0, 0, 0);
         patch(jf, here());
         --depth_;
-        emit(Op::kConst, constant(Value::of_bool(false)), 0, +1);
+        emit(Op::kConst, constant(Value::of_bool(false)), 0, +1, Type::Kind::kBool);
         patch(jend, here());
         return;
       }
@@ -202,13 +222,13 @@ class Compiler {
         int jend = emit(Op::kJump, 0, 0, 0);
         patch(jt, here());
         --depth_;
-        emit(Op::kConst, constant(Value::of_bool(true)), 0, +1);
+        emit(Op::kConst, constant(Value::of_bool(true)), 0, +1, Type::Kind::kBool);
         patch(jend, here());
         return;
       }
 
       case K::kRaise:
-        emit(Op::kRaise, constant(Value::of_string(e.str_val)), 0, +1);
+        emit(Op::kRaise, constant(Value::of_string(e.str_val)), 0, +1, kind_of(e));
         return;
 
       case K::kTry: {
@@ -230,18 +250,40 @@ class Compiler {
           emit_expr(*e.args[0]);
         }
         const std::int32_t name_idx = constant(Value::of_string(e.name));
-        // Intern the channel id now so the VM's kSend never hashes the name.
-        if (out_.const_tags.size() < out_.consts.size()) {
-          out_.const_tags.resize(out_.consts.size(), 0);
-        }
-        out_.const_tags[static_cast<std::size_t>(name_idx)] =
-            net::ChannelTags::intern(e.name);
         emit(Op::kSend, static_cast<std::int32_t>(e.send_kind), name_idx, -1);
         emit(Op::kConst, constant(Value::unit()), 0, +1);
         return;
       }
     }
     throw EvalBug{"compile: unhandled expression kind"};
+  }
+
+  /// Emits a test of `cond` that jumps when it evaluates to `when` and falls
+  /// through otherwise, recording the jumps to patch in `out`. `and`, `or`
+  /// and `not` become control flow, so `if a and b` tests each operand once
+  /// instead of materializing the conjunction and testing it again.
+  void emit_branch(const Expr& cond, bool when, std::vector<int>& out) {
+    using K = Expr::Kind;
+    if (cond.kind == K::kUnOp && cond.name == "not") {
+      emit_branch(*cond.args[0], !when, out);
+      return;
+    }
+    if (cond.kind == K::kAnd || cond.kind == K::kOr) {
+      // `a and b` is false as soon as a is; `a or b` is true as soon as a is.
+      const bool decides = cond.kind == K::kOr;
+      if (when == decides) {
+        emit_branch(*cond.args[0], when, out);
+        emit_branch(*cond.args[1], when, out);
+      } else {
+        std::vector<int> skip;
+        emit_branch(*cond.args[0], decides, skip);
+        emit_branch(*cond.args[1], when, out);
+        for (int j : skip) patch(j, here());
+      }
+      return;
+    }
+    emit_expr(cond);
+    out.push_back(emit(when ? Op::kJumpIfTrue : Op::kJumpIfFalse, 0, 0, -1));
   }
 
   const CheckedProgram& prog_;
@@ -254,262 +296,5 @@ class Compiler {
 }  // namespace
 
 CompiledProgram compile(const CheckedProgram& prog) { return Compiler(prog).run(); }
-
-// --- VM ----------------------------------------------------------------------
-
-namespace {
-/// Bumps the engine's call depth for one scope; exception-safe.
-struct DepthGuard {
-  std::size_t& d;
-  explicit DepthGuard(std::size_t& depth) : d(depth) { ++d; }
-  ~DepthGuard() { --d; }
-};
-}  // namespace
-
-VmEngine::VmEngine(const CompiledProgram& prog, EnvApi& env) : prog_(prog), env_(env) {
-  globals_.reserve(prog_.global_inits.size());
-  auto& fr = arena_.at_depth(depth_);
-  DepthGuard g(depth_);
-  for (const CodeBlock& b : prog_.global_inits) {
-    fr.locals.clear();
-    fr.locals.resize(static_cast<std::size_t>(b.frame_slots));
-    globals_.push_back(run_block(b, fr));
-  }
-}
-
-Value VmEngine::init_state(int chan_idx) {
-  const CodeBlock& b = prog_.channel_inits.at(static_cast<std::size_t>(chan_idx));
-  if (b.code.empty()) {
-    return default_value(
-        prog_.source->channels.at(static_cast<std::size_t>(chan_idx))->ss_type);
-  }
-  auto& fr = arena_.at_depth(depth_);
-  DepthGuard g(depth_);
-  fr.locals.clear();
-  fr.locals.resize(static_cast<std::size_t>(b.frame_slots));
-  return run_block(b, fr);
-}
-
-Value VmEngine::run_channel(int chan_idx, const Value& ps, const Value& ss,
-                            const Value& packet) {
-  const CodeBlock& b = prog_.channel_bodies.at(static_cast<std::size_t>(chan_idx));
-  auto& fr = arena_.at_depth(depth_);
-  DepthGuard g(depth_);
-  fr.locals.clear();
-  fr.locals.resize(static_cast<std::size_t>(std::max(b.frame_slots, 3)));
-  fr.locals[0] = ps;
-  fr.locals[1] = ss;
-  fr.locals[2] = packet;
-  Value out = run_block(b, fr);
-  if (mem::poison_enabled()) {
-    const Value sentinel = Value::of_int(mem::kPoisonInt);
-    for (std::size_t d = 0; d < arena_.depth(); ++d) arena_.scribble(d, sentinel);
-  }
-  return out;
-}
-
-namespace {
-
-void run_binop(BinCode code, std::vector<Value>& stack) {
-  Value b = std::move(stack.back());
-  stack.pop_back();
-  Value a = std::move(stack.back());
-  stack.pop_back();
-  switch (code) {
-    case BinCode::kAdd: stack.push_back(Value::of_int(a.as_int() + b.as_int())); return;
-    case BinCode::kSub: stack.push_back(Value::of_int(a.as_int() - b.as_int())); return;
-    case BinCode::kMul: stack.push_back(Value::of_int(a.as_int() * b.as_int())); return;
-    case BinCode::kDiv:
-      if (b.as_int() == 0) throw PlanPException{"DivByZero"};
-      stack.push_back(Value::of_int(a.as_int() / b.as_int()));
-      return;
-    case BinCode::kMod:
-      if (b.as_int() == 0) throw PlanPException{"DivByZero"};
-      stack.push_back(Value::of_int(a.as_int() % b.as_int()));
-      return;
-    case BinCode::kEq: stack.push_back(Value::of_bool(a.equals(b))); return;
-    case BinCode::kNe: stack.push_back(Value::of_bool(!a.equals(b))); return;
-    case BinCode::kConcat:
-      stack.push_back(Value::of_string(a.as_string() + b.as_string()));
-      return;
-    default: {
-      int cmp;
-      if (const auto* s = std::get_if<std::string>(&a.rep())) {
-        cmp = s->compare(b.as_string());
-      } else if (const auto* c = std::get_if<char>(&a.rep())) {
-        cmp = *c - b.as_char();
-      } else {
-        std::int64_t x = a.as_int(), y = b.as_int();
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      bool r = code == BinCode::kLt   ? cmp < 0
-               : code == BinCode::kLe ? cmp <= 0
-               : code == BinCode::kGt ? cmp > 0
-                                      : cmp >= 0;
-      stack.push_back(Value::of_bool(r));
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-Value VmEngine::run_block(const CodeBlock& block, mem::FrameArena<Value>::Frame& fr) {
-  std::vector<Value>& locals = fr.locals;
-  std::vector<Value>& stack = fr.stack;
-  stack.clear();
-  if (stack.capacity() < static_cast<std::size_t>(block.max_stack)) {
-    mem::ScopedAllocTag tag(mem::AllocTag::kFrame);
-    stack.reserve(static_cast<std::size_t>(block.max_stack));
-  }
-  struct TryFrame {
-    std::int32_t handler_pc;
-    std::size_t stack_depth;
-  };
-  std::vector<TryFrame> tries;
-  std::size_t pc = 0;
-
-  for (;;) {
-    try {
-      for (;;) {
-        const Instr& in = block.code[pc];
-        ++pc;
-        switch (in.op) {
-          case Op::kConst:
-            stack.push_back(prog_.consts[static_cast<std::size_t>(in.a)]);
-            break;
-          case Op::kLoadLocal:
-            stack.push_back(locals[static_cast<std::size_t>(in.a)]);
-            break;
-          case Op::kStoreLocal:
-            locals[static_cast<std::size_t>(in.a)] = std::move(stack.back());
-            stack.pop_back();
-            break;
-          case Op::kLoadGlobal:
-            stack.push_back(globals_[static_cast<std::size_t>(in.a)]);
-            break;
-          case Op::kJump:
-            pc = static_cast<std::size_t>(in.a);
-            break;
-          case Op::kJumpIfFalse: {
-            bool c = stack.back().as_bool();
-            stack.pop_back();
-            if (!c) pc = static_cast<std::size_t>(in.a);
-            break;
-          }
-          case Op::kJumpIfTrue: {
-            bool c = stack.back().as_bool();
-            stack.pop_back();
-            if (c) pc = static_cast<std::size_t>(in.a);
-            break;
-          }
-          case Op::kPop:
-            stack.pop_back();
-            break;
-          case Op::kDup:
-            stack.push_back(stack.back());
-            break;
-          case Op::kMakeTuple: {
-            std::size_t n = static_cast<std::size_t>(in.a);
-            if (n == 2) {
-              // Scalar pairs go inline in the Value; others use pooled rep.
-              Value second = std::move(stack.back());
-              stack.pop_back();
-              Value first = std::move(stack.back());
-              stack.pop_back();
-              stack.push_back(Value::of_pair(std::move(first), std::move(second)));
-            } else {
-              TupleRep t = Value::make_tuple_storage(n);
-              t->assign(std::make_move_iterator(stack.end() - static_cast<std::ptrdiff_t>(n)),
-                        std::make_move_iterator(stack.end()));
-              stack.resize(stack.size() - n);
-              stack.push_back(Value::of_tuple_rep(std::move(t)));
-            }
-            break;
-          }
-          case Op::kProj: {
-            Value t = std::move(stack.back());
-            stack.pop_back();
-            stack.push_back(t.tuple_at(static_cast<std::size_t>(in.a)));
-            break;
-          }
-          case Op::kCallPrim: {
-            std::size_t n = static_cast<std::size_t>(in.b);
-            // Arguments are staged into the callee arena frame's args vector
-            // (warm capacity, no allocation); depth is bumped in case the
-            // primitive re-enters the engine.
-            auto& callee = arena_.at_depth(depth_);
-            DepthGuard g(depth_);
-            callee.args.assign(
-                std::make_move_iterator(stack.end() - static_cast<std::ptrdiff_t>(n)),
-                std::make_move_iterator(stack.end()));
-            stack.resize(stack.size() - n);
-            stack.push_back(Primitives::instance().at(in.a).fn(env_, callee.args));
-            break;
-          }
-          case Op::kCallFun: {
-            std::size_t n = static_cast<std::size_t>(in.b);
-            const CodeBlock& fb = prog_.functions[static_cast<std::size_t>(in.a)];
-            auto& callee = arena_.at_depth(depth_);
-            DepthGuard g(depth_);
-            callee.locals.clear();
-            callee.locals.resize(
-                static_cast<std::size_t>(std::max<int>(fb.frame_slots,
-                                                       static_cast<int>(n))));
-            for (std::size_t i = 0; i < n; ++i) {
-              callee.locals[n - 1 - i] = std::move(stack.back());
-              stack.pop_back();
-            }
-            stack.push_back(run_block(fb, callee));
-            break;
-          }
-          case Op::kBinOp:
-            run_binop(static_cast<BinCode>(in.a), stack);
-            break;
-          case Op::kNot: {
-            bool v = stack.back().as_bool();
-            stack.back() = Value::of_bool(!v);
-            break;
-          }
-          case Op::kNeg: {
-            std::int64_t v = stack.back().as_int();
-            stack.back() = Value::of_int(-v);
-            break;
-          }
-          case Op::kRaise:
-            throw PlanPException{
-                prog_.consts[static_cast<std::size_t>(in.a)].as_string()};
-          case Op::kTryPush:
-            tries.push_back(TryFrame{in.a, stack.size()});
-            break;
-          case Op::kTryPop:
-            tries.pop_back();
-            break;
-          case Op::kSend: {
-            Value pkt = std::move(stack.back());
-            stack.pop_back();
-            const std::uint32_t tag =
-                prog_.const_tags[static_cast<std::size_t>(in.b)];
-            switch (static_cast<SendKind>(in.a)) {
-              case SendKind::kOnRemote: env_.on_remote(tag, pkt); break;
-              case SendKind::kOnNeighbor: env_.on_neighbor(tag, pkt); break;
-              case SendKind::kDeliver: env_.deliver(pkt); break;
-              case SendKind::kDrop: env_.drop(); break;
-            }
-            break;
-          }
-          case Op::kReturn:
-            return std::move(stack.back());
-        }
-      }
-    } catch (const PlanPException&) {
-      if (tries.empty()) throw;
-      TryFrame t = tries.back();
-      tries.pop_back();
-      stack.resize(t.stack_depth);
-      pc = static_cast<std::size_t>(t.handler_pc);
-    }
-  }
-}
 
 }  // namespace asp::planp

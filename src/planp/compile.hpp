@@ -1,16 +1,17 @@
-// AST -> bytecode compiler and the plain bytecode VM.
+// AST -> bytecode compiler.
 //
-// The bytecode is the intermediate form the run-time specializer (jit.hpp)
-// consumes. The VM here uses portable switch dispatch and exists both as a
-// middle performance point and as a semantics cross-check for the JIT.
+// The bytecode is a stack code annotated with the type checker's static
+// types: it is the input of the run-time specializer (jit.hpp), which turns
+// it into typed register-form templates, and the listing `planpc disasm`
+// prints. It is not executed directly.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "planp/interp.hpp"
 #include "planp/typecheck.hpp"
+#include "planp/value.hpp"
 
 namespace asp::planp {
 
@@ -23,7 +24,6 @@ enum class Op : std::uint8_t {
   kJumpIfFalse,  // if !pop then pc = a
   kJumpIfTrue,   // if pop then pc = a
   kPop,          // discard top
-  kDup,          // duplicate top
   kMakeTuple,    // pop a values, push tuple
   kProj,         // push pop.tuple[a]  (a is 0-based)
   kCallPrim,     // push prim[a](pop b args)
@@ -46,23 +46,25 @@ struct Instr {
   Op op;
   std::int32_t a = 0;
   std::int32_t b = 0;
+  /// Static type of the value the instruction pushes (for kStoreLocal: of
+  /// the slot it writes), from the type checker. kUnit when nothing is
+  /// pushed; kBottom for a `raise` checked without an expected type.
+  Type::Kind ty = Type::Kind::kUnit;
 };
 
 struct CodeBlock {
   std::vector<Instr> code;
-  int frame_slots = 0;
-  int max_stack = 0;  // conservative bound, set by the compiler
+  int frame_slots = 0;  // locals, including the parameters
+  int max_stack = 0;    // conservative bound, set by the compiler
+  /// Static types of the incoming slots 0..n-1: (ps, ss, packet) for a
+  /// channel body, the declared parameters for a function, none for inits.
+  std::vector<Type::Kind> params;
 };
 
 /// A fully compiled protocol.
 struct CompiledProgram {
   const CheckedProgram* source = nullptr;
   std::vector<Value> consts;
-  /// Interned net::ChannelTags ids, parallel to `consts`: const_tags[b] is
-  /// the tag of the channel name consts[b] names, filled at kSend emission.
-  /// The VM sends by integer id, so the packet path never hashes a name
-  /// (the JIT goes one step further and patches the id into the template).
-  std::vector<std::uint32_t> const_tags;
   std::vector<CodeBlock> global_inits;    // one per top-level val
   std::vector<CodeBlock> functions;       // per user function
   std::vector<CodeBlock> channel_bodies;  // per channel
@@ -73,30 +75,5 @@ struct CompiledProgram {
 
 /// Compiles a checked program. Pure; no EnvApi needed.
 CompiledProgram compile(const CheckedProgram& prog);
-
-/// Switch-dispatch bytecode VM.
-class VmEngine : public Engine {
- public:
-  /// Runs the global initializers immediately.
-  VmEngine(const CompiledProgram& prog, EnvApi& env);
-
-  Value init_state(int chan_idx) override;
-  Value run_channel(int chan_idx, const Value& ps, const Value& ss,
-                    const Value& packet) override;
-  const CheckedProgram& program() const override { return *prog_.source; }
-  const char* engine_name() const override { return "bytecode"; }
-
- private:
-  /// Executes `block` in arena frame `fr`: fr.locals must be prepared by the
-  /// caller; fr.stack is the operand stack (cleared here). Frames come from
-  /// the depth-indexed arena, so steady-state calls allocate nothing.
-  Value run_block(const CodeBlock& block, mem::FrameArena<Value>::Frame& fr);
-
-  const CompiledProgram& prog_;
-  EnvApi& env_;
-  std::vector<Value> globals_;
-  mem::FrameArena<Value> arena_;
-  std::size_t depth_ = 0;
-};
 
 }  // namespace asp::planp

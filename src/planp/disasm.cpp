@@ -15,7 +15,6 @@ const char* op_name(Op op) {
     case Op::kJumpIfFalse: return "JumpIfFalse";
     case Op::kJumpIfTrue: return "JumpIfTrue";
     case Op::kPop: return "Pop";
-    case Op::kDup: return "Dup";
     case Op::kMakeTuple: return "MakeTuple";
     case Op::kProj: return "Proj";
     case Op::kCallPrim: return "CallPrim";
@@ -33,49 +32,10 @@ const char* op_name(Op op) {
 }
 
 const char* jop_name(std::int32_t op) {
-  switch (op) {
-    case jop::kConst: return "Const";
-    case jop::kLoadLocal: return "LoadLocal";
-    case jop::kStoreLocal: return "StoreLocal";
-    case jop::kLoadGlobal: return "LoadGlobal";
-    case jop::kJump: return "Jump";
-    case jop::kJumpIfFalse: return "JumpIfFalse";
-    case jop::kJumpIfTrue: return "JumpIfTrue";
-    case jop::kPop: return "Pop";
-    case jop::kDup: return "Dup";
-    case jop::kMakeTuple: return "MakeTuple";
-    case jop::kProj: return "Proj";
-    case jop::kCallPrim: return "CallPrim";
-    case jop::kCallFun: return "CallFun";
-    case jop::kNot: return "Not";
-    case jop::kNeg: return "Neg";
-    case jop::kRaise: return "Raise";
-    case jop::kTryPush: return "TryPush";
-    case jop::kTryPop: return "TryPop";
-    case jop::kSend: return "Send";
-    case jop::kReturn: return "Return";
-    case jop::kAdd: return "Add";
-    case jop::kSub: return "Sub";
-    case jop::kMul: return "Mul";
-    case jop::kDiv: return "Div";
-    case jop::kMod: return "Mod";
-    case jop::kEq: return "Eq";
-    case jop::kNe: return "Ne";
-    case jop::kLt: return "Lt";
-    case jop::kLe: return "Le";
-    case jop::kGt: return "Gt";
-    case jop::kGe: return "Ge";
-    case jop::kConcat: return "Concat";
-    case jop::kProjLocal: return "ProjLocal*";
-    case jop::kMoveField: return "MoveField*";
-    case jop::kCallPrim1L: return "CallPrim1L*";
-    case jop::kEqConst: return "EqConst*";
-    case jop::kReturnLocal: return "ReturnLocal*";
-    case jop::kSendConst: return "SendConst*";
-    case jop::kAddConstLocal: return "AddConstLocal*";
-    case jop::kReturnPairLocal: return "ReturnPairLocal*";
-  }
-  return "?";
+#define ASP_JIT_NAME(name) #name,
+  static const char* const kNames[jop::kCount] = {ASP_JIT_OPS(ASP_JIT_NAME)};
+#undef ASP_JIT_NAME
+  return op >= 0 && op < jop::kCount ? kNames[op] : "?";
 }
 
 namespace {
@@ -94,6 +54,27 @@ const char* bin_name(BinCode c) {
     case BinCode::kGt: return ">";
     case BinCode::kGe: return ">=";
     case BinCode::kConcat: return "^";
+  }
+  return "?";
+}
+
+const char* kind_name(Type::Kind k) {
+  switch (k) {
+    case Type::Kind::kInt: return "int";
+    case Type::Kind::kBool: return "bool";
+    case Type::Kind::kChar: return "char";
+    case Type::Kind::kString: return "string";
+    case Type::Kind::kUnit: return "unit";
+    case Type::Kind::kHost: return "host";
+    case Type::Kind::kBlob: return "blob";
+    case Type::Kind::kIp: return "ip";
+    case Type::Kind::kTcp: return "tcp";
+    case Type::Kind::kUdp: return "udp";
+    case Type::Kind::kTuple: return "tuple";
+    case Type::Kind::kTable: return "hash_table";
+    case Type::Kind::kChan: return "chan";
+    case Type::Kind::kVar: return "'a";
+    case Type::Kind::kBottom: return "bottom";
   }
   return "?";
 }
@@ -149,6 +130,7 @@ std::string disassemble(const CodeBlock& block, const CompiledProgram& prog) {
       default:
         break;
     }
+    if (in.ty != Type::Kind::kUnit) out += fmt("  : %s", kind_name(in.ty));
     out += '\n';
   }
   return out;
@@ -174,60 +156,88 @@ std::string disassemble(const CompiledProgram& prog) {
 }
 
 std::string disassemble(const JitBlock& block) {
+  // Operands in the templates' own notation (jit.hpp): rN / vN are raw and
+  // boxed frame slots, #x an immediate, 'k' a patched constant.
   std::string out;
   for (std::size_t i = 0; i < block.code.size(); ++i) {
     const SInstr& in = block.code[i];
+    auto boxed = [](std::int32_t slot, const Value* k) {
+      return k != nullptr ? "'" + k->str() + "'" : fmt("v%d", slot);
+    };
     out += fmt("%4zu: %-12s", i, jop_name(in.op));
     switch (in.op) {
-      case jop::kConst:
-      case jop::kEqConst:
-      case jop::kRaise:
-        out += fmt(" ; %s", in.k != nullptr ? in.k->str().c_str() : "?");
-        break;
       case jop::kJump:
+      case jop::kTryPush:
+        out += fmt(" -> %d", in.dst);
+        break;
       case jop::kJumpIfFalse:
       case jop::kJumpIfTrue:
-      case jop::kTryPush:
-        out += fmt(" -> %d", in.a);
+        out += fmt(" r%d -> %d", in.a, in.dst);
+        break;
+      case jop::kTryPop:
+        break;
+      case jop::kImmR:
+        out += fmt(" r%d = #%lld", in.dst, static_cast<long long>(in.imm));
+        break;
+      case jop::kMovV:
+      case jop::kProjV:
+      case jop::kProjR:
+        out += fmt(" %c%d = ", in.op == jop::kProjR ? 'r' : 'v', in.dst) + boxed(in.a, in.k);
+        if (in.op != jop::kMovV) out += fmt(" #%d", in.b + 1);
+        break;
+      case jop::kEqV:
+      case jop::kNeV:
+      case jop::kCmpV:
+      case jop::kConcat:
+      case jop::kPair:
+      case jop::kReturnPair:
+        out += fmt(" %c%d = ", in.op == jop::kConcat || in.op == jop::kPair ? 'v' : 'r',
+                   in.dst) +
+               ((in.c & 0xFF) != 0 ? fmt("r%d", in.a) : boxed(in.a, in.k)) + ", " +
+               ((in.c >> 8) != 0 ? fmt("r%d", in.b) : boxed(in.b, in.k2));
+        break;
+      case jop::kTuple:
+        out += fmt(" v%d = v%d..v%d", in.dst, in.a, in.a + in.b - 1);
         break;
       case jop::kCallPrim:
-      case jop::kCallPrim1L:
-        out += fmt(" %s", in.prim != nullptr ? in.prim->name.c_str() : "?");
-        if (in.op == jop::kCallPrim1L) out += fmt("(local %d)", in.a);
+      case jop::kCallPrimR:
+      case jop::kCallRaw:
+        out += fmt(" %c%d = %s(", in.op == jop::kCallPrim ? 'v' : 'r', in.dst,
+                   in.prim != nullptr ? in.prim->name.c_str() : "?") +
+               boxed(in.a, in.k) +
+               (in.op == jop::kCallRaw ? fmt(", r%d)", in.b) : fmt("/%d)", in.b));
         break;
       case jop::kCallFun:
-        out += fmt(" fun#%d/%d", in.a, in.b);
+      case jop::kCallFunR:
+        out += fmt(" %c%d = fun#%d(slot %d/%d)", in.op == jop::kCallFun ? 'v' : 'r',
+                   in.dst, in.a, in.c, in.b);
         break;
-      case jop::kProjLocal:
-        out += fmt(" local %d field %d", in.a, in.b);
-        break;
-      case jop::kMoveField:
-        out += fmt(" local %d field %d -> local %d", in.a, in.b & 0xFFFF, in.b >> 16);
-        break;
-      case jop::kLoadLocal:
-      case jop::kStoreLocal:
-      case jop::kLoadGlobal:
-      case jop::kMakeTuple:
-      case jop::kProj:
-      case jop::kReturnLocal:
-        out += fmt(" %d", in.a);
+      case jop::kRaise:
+        out += " " + boxed(in.a, in.k);
         break;
       case jop::kSend:
-        out += fmt(" kind=%d chan=%s", in.a,
-                   in.k != nullptr ? in.k->str().c_str() : "?");
+        out += fmt(" kind=%d tag=%d ", in.b, in.c) + boxed(in.a, in.k);
         break;
-      case jop::kSendConst:
-        out += fmt(" kind=%d tag=%d ; %s", in.a, in.b,
-                   in.k != nullptr ? in.k->str().c_str() : "?");
+      case jop::kReturnV:
+        out += " " + boxed(in.a, in.k);
         break;
-      case jop::kAddConstLocal:
-        out += fmt(" local %d ; %s", in.a,
-                   in.k != nullptr ? in.k->str().c_str() : "?");
-        break;
-      case jop::kReturnPairLocal:
-        out += fmt(" local %d", in.a);
+      case jop::kReturnR:
+        out += fmt(" r%d", in.a);
         break;
       default:
+        if (in.op >= jop::kBrEqRR && in.op <= jop::kBrGeRI) {
+          out += (in.op - jop::kBrEqRR) % 2 == 0
+                     ? fmt(" r%d, r%d -> %d", in.a, in.b, in.dst)
+                     : fmt(" r%d, #%lld -> %d", in.a, static_cast<long long>(in.imm), in.dst);
+        } else if (in.op >= jop::kAddRR && in.op <= jop::kGeRI) {
+          out += (in.op - jop::kAddRR) % 2 == 0
+                     ? fmt(" r%d = r%d, r%d", in.dst, in.a, in.b)
+                     : fmt(" r%d = r%d, #%lld", in.dst, in.a, static_cast<long long>(in.imm));
+        } else if (in.op >= jop::kBoxInt && in.op <= jop::kBoxHost) {
+          out += fmt(" v%d = r%d", in.dst, in.a);
+        } else {
+          out += fmt(" r%d = r%d", in.dst, in.a);  // MovR, Neg, Not
+        }
         break;
     }
     out += '\n';

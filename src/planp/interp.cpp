@@ -192,17 +192,16 @@ Value Interp::eval(const Expr& e, Frame& f) {
       }
       std::int64_t a = eval(*e.args[0], f).as_int();
       std::int64_t b = eval(*e.args[1], f).as_int();
-      if (op == "+") return Value::of_int(a + b);
-      if (op == "-") return Value::of_int(a - b);
-      if (op == "*") return Value::of_int(a * b);
-      if (b == 0) throw PlanPException{"DivByZero"};
-      if (op == "/") return Value::of_int(a / b);
-      return Value::of_int(a % b);  // "%"
+      if (op == "+") return Value::of_int(int_add(a, b));
+      if (op == "-") return Value::of_int(int_sub(a, b));
+      if (op == "*") return Value::of_int(int_mul(a, b));
+      if (op == "/") return Value::of_int(int_div(a, b));
+      return Value::of_int(int_mod(a, b));  // "%"
     }
 
     case K::kUnOp:
       if (e.name == "not") return Value::of_bool(!eval(*e.args[0], f).as_bool());
-      return Value::of_int(-eval(*e.args[0], f).as_int());
+      return Value::of_int(int_sub(0, eval(*e.args[0], f).as_int()));
 
     case K::kAnd:
       return Value::of_bool(eval(*e.args[0], f).as_bool() &&

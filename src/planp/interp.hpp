@@ -2,11 +2,13 @@
 //
 // `Engine` is the common interface: given a channel and the current states,
 // process one packet and return the (protocol state, channel state) pair.
-// Three implementations exist, mirroring the paper's architecture:
-//   * Interp (this header)        — portable AST interpreter,
-//   * VmEngine (compile.hpp)      — bytecode VM, the compilation IR,
-//   * JitEngine (jit.hpp)         — run-time-specialized threaded code,
-//                                    the analog of the Tempo-generated JIT.
+// Two implementations exist, mirroring the paper's architecture:
+//   * Interp (this header)        — portable AST interpreter, the reference
+//                                    semantics,
+//   * JitEngine (jit.hpp)         — typed register code specialized at
+//                                    download time from the bytecode
+//                                    (compile.hpp), the analog of the
+//                                    Tempo-generated JIT.
 #pragma once
 
 #include <memory>

@@ -1,8 +1,7 @@
 #include "planp/jit.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <climits>
 
 #include "obs/metrics.hpp"
 
@@ -10,22 +9,43 @@ namespace asp::planp {
 
 namespace {
 
-std::int32_t jop_of_bincode(BinCode c) {
-  switch (c) {
-    case BinCode::kAdd: return jop::kAdd;
-    case BinCode::kSub: return jop::kSub;
-    case BinCode::kMul: return jop::kMul;
-    case BinCode::kDiv: return jop::kDiv;
-    case BinCode::kMod: return jop::kMod;
-    case BinCode::kEq: return jop::kEq;
-    case BinCode::kNe: return jop::kNe;
-    case BinCode::kLt: return jop::kLt;
-    case BinCode::kLe: return jop::kLe;
-    case BinCode::kGt: return jop::kGt;
-    case BinCode::kGe: return jop::kGe;
-    case BinCode::kConcat: return jop::kConcat;
+using K = Type::Kind;
+
+// --- scalar boxing -------------------------------------------------------------
+
+std::int64_t raw_of(const Value& v) {
+  const Value::Rep& r = v.rep();
+  if (const auto* i = std::get_if<std::int64_t>(&r)) return *i;
+  if (const auto* h = std::get_if<net::Ipv4Addr>(&r)) return h->bits();
+  if (const auto* b = std::get_if<bool>(&r)) return *b ? 1 : 0;
+  if (const auto* c = std::get_if<char>(&r)) return *c;
+  throw EvalBug{"jit: boxed value in a scalar slot"};
+}
+
+std::int64_t raw_of(const Scalar& s) {
+  if (const auto* i = std::get_if<std::int64_t>(&s)) return *i;
+  if (const auto* h = std::get_if<net::Ipv4Addr>(&s)) return h->bits();
+  if (const auto* b = std::get_if<bool>(&s)) return *b ? 1 : 0;
+  if (const auto* c = std::get_if<char>(&s)) return *c;
+  throw EvalBug{"jit: unit in a scalar slot"};
+}
+
+Value box_raw(K kind, std::int64_t x) {
+  switch (kind) {
+    case K::kBool: return Value::of_bool(x != 0);
+    case K::kChar: return Value::of_char(static_cast<char>(x));
+    case K::kHost: return Value::of_host(net::Ipv4Addr(static_cast<std::uint32_t>(x)));
+    default: return Value::of_int(x);
   }
-  return jop::kAdd;
+}
+
+/// Field `i` of a tuple, unboxed, without materializing the element Value.
+std::int64_t raw_field(const Value& t, std::size_t i) {
+  if (const auto* rep = std::get_if<TupleRep>(&t.rep())) return raw_of((**rep)[i]);
+  if (const auto* pair = std::get_if<ScalarPair>(&t.rep())) {
+    return raw_of(i == 0 ? pair->first : pair->second);
+  }
+  throw EvalBug{"jit: projection from a non-tuple"};
 }
 
 int compare_values(const Value& a, const Value& b) {
@@ -35,30 +55,673 @@ int compare_values(const Value& a, const Value& b) {
   return x < y ? -1 : (x > y ? 1 : 0);
 }
 
-/// Does the block ever read local slot `slot`? Channel bodies keep the packet
-/// in slot 2, so a false answer means the body is packet-oblivious and the
-/// dispatcher can skip payload decoding (match-only classification). Function
-/// calls are covered transitively: a callee only sees the packet if the
-/// caller loaded slot 2 to pass it, which this scan catches.
-bool block_reads_local(const JitBlock& b, std::int32_t slot) {
-  for (const SInstr& s : b.code) {
-    switch (s.op) {
-      case jop::kLoadLocal:
-      case jop::kStoreLocal:
-      case jop::kProjLocal:
-      case jop::kCallPrim1L:
-      case jop::kReturnLocal:
-      case jop::kAddConstLocal:
-      case jop::kReturnPairLocal:
-        if (s.a == slot) return true;
-        break;
-      case jop::kMoveField:
-        // a = source slot, high bits of b = destination slot.
-        if (s.a == slot || (s.b >> 16) == slot) return true;
-        break;
-      default:
-        break;
+bool holds(BinCode code, int cmp) {
+  switch (code) {
+    case BinCode::kLt: return cmp < 0;
+    case BinCode::kLe: return cmp <= 0;
+    case BinCode::kGt: return cmp > 0;
+    default: return cmp >= 0;
+  }
+}
+
+// --- specialization ---------------------------------------------------------------
+
+bool is_jump(Op op) {
+  return op == Op::kJump || op == Op::kJumpIfFalse || op == Op::kJumpIfTrue ||
+         op == Op::kTryPush;
+}
+
+/// The RR template of a raw binary operator (the RI form is the next op).
+std::int32_t raw_binop(BinCode c) {
+  switch (c) {
+    case BinCode::kAdd: return jop::kAddRR;
+    case BinCode::kSub: return jop::kSubRR;
+    case BinCode::kMul: return jop::kMulRR;
+    case BinCode::kDiv: return jop::kDivRR;
+    case BinCode::kMod: return jop::kModRR;
+    case BinCode::kEq: return jop::kEqRR;
+    case BinCode::kNe: return jop::kNeRR;
+    case BinCode::kLt: return jop::kLtRR;
+    case BinCode::kLe: return jop::kLeRR;
+    case BinCode::kGt: return jop::kGtRR;
+    case BinCode::kGe: return jop::kGeRR;
+    case BinCode::kConcat: break;
+  }
+  throw EvalBug{"jit: no raw template for ^"};
+}
+
+/// `b op a` == `a mirror(op) b`; kConcat marks operators that do not commute.
+BinCode mirrored(BinCode c) {
+  switch (c) {
+    case BinCode::kAdd:
+    case BinCode::kMul:
+    case BinCode::kEq:
+    case BinCode::kNe: return c;
+    case BinCode::kLt: return BinCode::kGt;
+    case BinCode::kLe: return BinCode::kGe;
+    case BinCode::kGt: return BinCode::kLt;
+    case BinCode::kGe: return BinCode::kLe;
+    default: return BinCode::kConcat;
+  }
+}
+
+bool is_raw_compare(std::int32_t op) { return op >= jop::kEqRR && op <= jop::kGeRI; }
+
+/// The compare-and-branch template for compare template `cmp`, taken when
+/// the comparison holds (`when`) or fails (!when).
+std::int32_t branch_of(std::int32_t cmp, bool when) {
+  std::int32_t rel = cmp - jop::kEqRR;  // pairs: Eq Ne Lt Le Gt Ge, RR then RI
+  if (!when) {
+    static constexpr std::int32_t kNegated[] = {1, 0, 5, 4, 3, 2};  // Eq<->Ne, Lt<->Ge, ...
+    rel = kNegated[rel / 2] * 2 + rel % 2;
+  }
+  return jop::kBrEqRR + rel;
+}
+
+/// Stack code -> typed register code. The operand stack is simulated: each
+/// entry is a value sitting in its canonical temp slot (frame_slots + depth)
+/// or a lazy reference to a local or a constant, consumed in place by the
+/// instruction that pops it. Lazy entries are materialized only where two
+/// control paths meet, so every join sees the canonical layout.
+class Specializer {
+ public:
+  Specializer(const CodeBlock& block, const CompiledProgram& prog,
+              const std::vector<Value>& globals)
+      : block_(block), prog_(prog), globals_(globals), base_(block.frame_slots) {}
+
+  JitBlock run() {
+    const std::vector<Instr>& code = block_.code;
+    std::vector<bool> target(code.size() + 1, false);
+    for (const Instr& in : code) {
+      if (is_jump(in.op)) target[static_cast<std::size_t>(in.a)] = true;
     }
+    edges_.assign(code.size() + 1, {});
+    std::vector<std::int32_t> new_pc(code.size() + 1, 0);
+    bool falls_through = true;
+    for (std::size_t i = 0; i < code.size(); ++i) {
+      if (target[i]) {
+        if (falls_through) {
+          flush();
+          edges_[i].push_back(kinds());
+        }
+        enter_label(edges_[i]);
+      }
+      new_pc[i] = static_cast<std::int32_t>(out_.size());
+      step(code[i]);
+      falls_through = code[i].op != Op::kJump && code[i].op != Op::kReturn;
+    }
+    new_pc[code.size()] = static_cast<std::int32_t>(out_.size());
+    for (std::size_t j : jumps_) {
+      out_[j].dst = new_pc[static_cast<std::size_t>(out_[j].dst)];
+    }
+    thread_jumps();
+    JitBlock b;
+    b.code = std::move(out_);
+    b.slots = base_ + block_.max_stack;
+    b.params = block_.params;
+    b.folded = std::move(folded_);
+    return b;
+  }
+
+ private:
+  struct Opnd {
+    enum Where : std::uint8_t { kTemp, kLocal, kConst };
+    Where where = kTemp;
+    K kind = K::kUnit;
+    std::int32_t slot = 0;     // kLocal
+    std::int64_t imm = 0;      // kConst of a raw kind
+    const Value* k = nullptr;  // kConst
+    bool raw() const { return is_raw_kind(kind); }
+    bool bottom() const { return kind == K::kBottom; }
+  };
+
+  std::int32_t tslot(std::size_t depth) const {
+    return base_ + static_cast<std::int32_t>(depth);
+  }
+
+  std::vector<K> kinds() const {
+    std::vector<K> ks;
+    for (const Opnd& o : st_) ks.push_back(o.kind);
+    return ks;
+  }
+
+  /// Starts a jump target: the stack is the canonical layout, each entry's
+  /// kind taken from an incoming edge that really produces it (a `raise`
+  /// arm produces nothing and shows up as kBottom).
+  void enter_label(const std::vector<std::vector<K>>& edges) {
+    if (edges.empty()) throw EvalBug{"jit: jump target without an edge"};
+    std::vector<K> ks = edges[0];
+    for (const auto& e : edges) {
+      if (e.size() != ks.size()) throw EvalBug{"jit: stack depth differs at a join"};
+      for (std::size_t j = 0; j < ks.size(); ++j) {
+        if (ks[j] == K::kBottom) ks[j] = e[j];
+      }
+    }
+    st_.clear();
+    for (K kind : ks) st_.push_back(Opnd{Opnd::kTemp, kind});
+    fence_ = out_.size();
+    last_def_ = SIZE_MAX;
+  }
+
+  void emit(const SInstr& s) {
+    out_.push_back(s);
+    last_def_ = SIZE_MAX;
+  }
+
+  /// Emits a template writing the value at the new stack top.
+  void produce(SInstr s, K kind) {
+    s.dst = tslot(st_.size());
+    emit(s);
+    last_def_ = out_.size() - 1;
+    st_.push_back(Opnd{Opnd::kTemp, kind});
+  }
+
+  /// The emitted template that wrote stack entry `j`, if it is the last one
+  /// and no label separates it from here; null otherwise.
+  SInstr* fresh_def(std::size_t j) {
+    if (st_[j].where != Opnd::kTemp || last_def_ != out_.size() - 1 ||
+        last_def_ < fence_ || out_.back().dst != tslot(j)) {
+      return nullptr;
+    }
+    return &out_.back();
+  }
+
+  void control(SInstr s, std::int32_t bytecode_target) {
+    s.dst = bytecode_target;  // patched to the template index in run()
+    jumps_.push_back(out_.size());
+    emit(s);
+  }
+
+  /// Entry j in its canonical temp, in its own storage class.
+  void to_temp(std::size_t j) {
+    Opnd& o = st_[j];
+    if (o.where == Opnd::kTemp) return;
+    SInstr s;
+    s.dst = tslot(j);
+    if (o.raw()) {
+      if (o.where == Opnd::kConst) {
+        s.op = jop::kImmR;
+        s.imm = o.imm;
+      } else {
+        s.op = jop::kMovR;
+        s.a = o.slot;
+      }
+    } else {
+      s.op = jop::kMovV;
+      s.a = o.slot;
+      s.k = o.k;
+    }
+    emit(s);
+    o = Opnd{Opnd::kTemp, o.kind};
+  }
+
+  void flush() {
+    for (std::size_t j = 0; j < st_.size(); ++j) to_temp(j);
+  }
+
+  /// Entry j as a boxed Value in V[tslot(j)] (argument and element windows,
+  /// consumed right after).
+  void to_boxed_temp(std::size_t j) {
+    Opnd& o = st_[j];
+    if (o.bottom() || (o.where == Opnd::kTemp && !o.raw())) return;
+    SInstr s;
+    s.dst = tslot(j);
+    if (o.where == Opnd::kConst) {
+      s.op = jop::kMovV;
+      s.k = o.k;
+    } else if (o.raw()) {
+      s.op = o.kind == K::kBool   ? jop::kBoxBool
+             : o.kind == K::kChar ? jop::kBoxChar
+             : o.kind == K::kHost ? jop::kBoxHost
+                                  : jop::kBoxInt;
+      s.a = o.where == Opnd::kLocal ? o.slot : tslot(j);
+    } else {
+      s.op = jop::kMovV;
+      s.a = o.slot;
+    }
+    emit(s);
+    o = Opnd{Opnd::kTemp, K::kTuple};  // now boxed
+  }
+
+  /// Raw register holding entry j (constants are loaded into its temp).
+  std::int32_t raw_reg(std::size_t j) {
+    Opnd& o = st_[j];
+    if (o.where == Opnd::kConst) to_temp(j);
+    return o.where == Opnd::kLocal ? o.slot : tslot(j);
+  }
+
+  /// Boxed operand (slot, pointer) for entry j.
+  void boxed_ref(std::size_t j, std::int32_t& slot, const Value*& k) {
+    if (st_[j].raw()) to_boxed_temp(j);
+    const Opnd& o = st_[j];
+    slot = o.where == Opnd::kLocal ? o.slot : tslot(j);
+    k = o.where == Opnd::kConst ? o.k : nullptr;
+  }
+
+  /// Base (slot, pointer) such that boxed argument i of the call whose first
+  /// argument is entry d0 reads base[i], for every i in `args`. Arguments
+  /// already lying in order in the frame (a single argument always does)
+  /// are passed in place; otherwise all of them are copied into the window.
+  void boxed_base(std::size_t d0, const std::vector<std::size_t>& args,
+                  std::int32_t& slot, const Value*& k) {
+    slot = tslot(d0);
+    k = nullptr;
+    if (args.empty()) return;
+    bool in_place = true;
+    std::int32_t base = INT_MIN;
+    for (std::size_t i : args) {
+      const Opnd& o = st_[d0 + i];
+      if (o.bottom()) continue;
+      if (o.raw()) {
+        in_place = false;
+      } else if (o.where == Opnd::kConst) {
+        if (args.size() == 1 && i == 0) {
+          k = o.k;
+          return;
+        }
+        in_place = false;
+      } else {
+        std::int32_t at = o.where == Opnd::kLocal ? o.slot : tslot(d0 + i);
+        std::int32_t cand = at - static_cast<std::int32_t>(i);
+        if (cand < 0 || (base != INT_MIN && base != cand)) in_place = false;
+        base = cand;
+      }
+    }
+    if (in_place && base != INT_MIN) {
+      slot = base;
+      return;
+    }
+    for (std::size_t i : args) to_boxed_temp(d0 + i);
+  }
+
+  /// Same for raw arguments, in R.
+  std::int32_t raw_base(std::size_t d0, const std::vector<std::size_t>& args) {
+    bool in_place = true;
+    std::int32_t base = INT_MIN;
+    for (std::size_t i : args) {
+      Opnd& o = st_[d0 + i];
+      if (o.where == Opnd::kConst) to_temp(d0 + i);
+      std::int32_t at = o.where == Opnd::kLocal ? o.slot : tslot(d0 + i);
+      std::int32_t cand = at - static_cast<std::int32_t>(i);
+      if (cand < 0 || (base != INT_MIN && base != cand)) in_place = false;
+      base = cand;
+    }
+    if (in_place && base != INT_MIN) return base;
+    for (std::size_t i : args) to_temp(d0 + i);
+    return tslot(d0);
+  }
+
+  void step(const Instr& in) {
+    switch (in.op) {
+      case Op::kConst: {
+        const Value& v = prog_.consts[static_cast<std::size_t>(in.a)];
+        Opnd o{Opnd::kConst, in.ty};
+        o.k = &v;
+        if (o.raw()) o.imm = raw_of(v);
+        st_.push_back(o);
+        return;
+      }
+      case Op::kLoadLocal: {
+        Opnd o{Opnd::kLocal, in.ty};
+        o.slot = in.a;
+        st_.push_back(o);
+        return;
+      }
+      case Op::kLoadGlobal: {
+        // Blocks are specialized in declaration order, so every `val` a
+        // block can see has already been evaluated.
+        const auto g = static_cast<std::size_t>(in.a);
+        if (g >= globals_.size()) throw EvalBug{"jit: global read before its val"};
+        Opnd o{Opnd::kConst, in.ty};
+        o.k = &globals_[g];
+        if (o.raw()) o.imm = raw_of(*o.k);
+        st_.push_back(o);
+        return;
+      }
+      case Op::kStoreLocal: store_local(in.a, in.ty); return;
+      case Op::kPop: st_.pop_back(); return;
+      case Op::kJump: {
+        flush();
+        edges_[static_cast<std::size_t>(in.a)].push_back(kinds());
+        SInstr s;
+        s.op = jop::kJump;
+        control(s, in.a);
+        return;
+      }
+      case Op::kJumpIfFalse:
+      case Op::kJumpIfTrue: branch(in.a, in.op == Op::kJumpIfTrue); return;
+      case Op::kTryPush: {
+        flush();
+        edges_[static_cast<std::size_t>(in.a)].push_back(kinds());
+        SInstr s;
+        s.op = jop::kTryPush;
+        control(s, in.a);
+        return;
+      }
+      case Op::kTryPop: {
+        SInstr s;
+        s.op = jop::kTryPop;
+        emit(s);
+        return;
+      }
+      case Op::kMakeTuple: make_tuple(static_cast<std::size_t>(in.a)); return;
+      case Op::kProj: {
+        SInstr s;
+        s.op = is_raw_kind(in.ty) ? jop::kProjR : jop::kProjV;
+        s.b = in.a;
+        boxed_ref(st_.size() - 1, s.a, s.k);
+        st_.pop_back();
+        produce(s, in.ty);
+        return;
+      }
+      case Op::kCallPrim: call_prim(in); return;
+      case Op::kCallFun: call_fun(in); return;
+      case Op::kBinOp: binop(static_cast<BinCode>(in.a), in.ty); return;
+      case Op::kNot:
+      case Op::kNeg: {
+        SInstr s;
+        s.op = in.op == Op::kNot ? jop::kNot : jop::kNeg;
+        s.a = raw_reg(st_.size() - 1);
+        st_.pop_back();
+        produce(s, in.ty);
+        return;
+      }
+      case Op::kRaise: {
+        SInstr s;
+        s.op = jop::kRaise;
+        s.k = &prog_.consts[static_cast<std::size_t>(in.a)];
+        emit(s);
+        st_.push_back(Opnd{Opnd::kTemp, in.ty});  // never produced
+        return;
+      }
+      case Op::kSend: {
+        SInstr s;
+        s.op = jop::kSend;
+        s.b = in.a;  // SendKind
+        // The interned channel id is patched in: the send template
+        // dispatches by integer tag, never hashing the name on the packet
+        // path. (Deliver/drop carry the empty name, tag 0.)
+        s.c = static_cast<std::int32_t>(net::ChannelTags::intern(
+            prog_.consts[static_cast<std::size_t>(in.b)].as_string()));
+        boxed_ref(st_.size() - 1, s.a, s.k);
+        st_.pop_back();
+        emit(s);
+        return;
+      }
+      case Op::kReturn: {
+        SInstr s;
+        const std::size_t j = st_.size() - 1;
+        const Opnd& o = st_[j];
+        if (o.raw() && o.where != Opnd::kConst) {
+          s.op = jop::kReturnR;
+          s.a = raw_reg(j);
+          s.imm = static_cast<std::int64_t>(o.kind);
+        } else {
+          s.op = jop::kReturnV;
+          if (o.raw()) {
+            s.k = o.k;
+          } else {
+            boxed_ref(j, s.a, s.k);
+          }
+        }
+        st_.pop_back();
+        emit(s);
+        return;
+      }
+    }
+    throw EvalBug{"jit: unhandled bytecode op"};
+  }
+
+  /// Control templates skip over jumps to jumps, a jump to a return becomes
+  /// the return, and a pair built only to be returned is returned directly
+  /// — the `(ps', ss)` epilogue of every channel arm. (All jumps go
+  /// forward, so the chains end.)
+  void thread_jumps() {
+    for (std::size_t j : jumps_) {
+      auto t = static_cast<std::size_t>(out_[j].dst);
+      while (t < out_.size() && out_[t].op == jop::kJump) {
+        t = static_cast<std::size_t>(out_[t].dst);
+      }
+      out_[j].dst = static_cast<std::int32_t>(t);
+      if (out_[j].op == jop::kJump && t < out_.size() &&
+          (out_[t].op == jop::kReturnV || out_[t].op == jop::kReturnR)) {
+        out_[j] = out_[t];
+      }
+    }
+    for (std::size_t i = 0; i + 1 < out_.size(); ++i) {
+      const SInstr& next = out_[i + 1];
+      if (out_[i].op == jop::kPair && next.op == jop::kReturnV && next.k == nullptr &&
+          next.a == out_[i].dst) {
+        out_[i].op = jop::kReturnPair;
+      }
+    }
+  }
+
+  void store_local(std::int32_t x, K kind) {
+    const std::size_t j = st_.size() - 1;
+    const bool raw = is_raw_kind(kind);
+    auto reads_x = [&](const Opnd& o) {
+      return o.where == Opnd::kLocal && o.slot == x && o.raw() == raw;
+    };
+    const bool aliased = std::any_of(st_.begin(), st_.end() - 1, reads_x);
+    const Opnd v = st_[j];
+    SInstr* def = fresh_def(j);
+    if (def != nullptr && !aliased && !v.bottom()) {
+      def->dst = x;  // the producer writes the local directly
+      st_.pop_back();
+      return;
+    }
+    for (std::size_t i = 0; i < j; ++i) {
+      if (reads_x(st_[i])) to_temp(i);  // read before the local changes
+    }
+    st_.pop_back();
+    if (v.bottom()) return;
+    SInstr s;
+    s.dst = x;
+    if (raw) {
+      if (v.where == Opnd::kConst) {
+        s.op = jop::kImmR;
+        s.imm = v.imm;
+      } else {
+        s.op = jop::kMovR;
+        s.a = v.where == Opnd::kLocal ? v.slot : tslot(j);
+      }
+    } else {
+      s.op = jop::kMovV;
+      s.a = v.where == Opnd::kLocal ? v.slot : tslot(j);
+      s.k = v.where == Opnd::kConst ? v.k : nullptr;
+    }
+    if (s.op != jop::kImmR && s.k == nullptr && s.a == x) return;  // already there
+    emit(s);
+  }
+
+  void branch(std::int32_t target, bool when) {
+    const std::size_t j = st_.size() - 1;
+    if (SInstr* def = fresh_def(j); def != nullptr && is_raw_compare(def->op)) {
+      // compare + branch -> one compare-and-branch template (the compare's
+      // operands are locals or temps above the stack that flush() writes).
+      SInstr s = *def;
+      out_.pop_back();
+      st_.pop_back();
+      flush();
+      edges_[static_cast<std::size_t>(target)].push_back(kinds());
+      s.op = branch_of(s.op, when);
+      control(s, target);
+      return;
+    }
+    SInstr s;
+    s.op = when ? jop::kJumpIfTrue : jop::kJumpIfFalse;
+    s.a = raw_reg(j);
+    st_.pop_back();
+    flush();
+    edges_[static_cast<std::size_t>(target)].push_back(kinds());
+    control(s, target);
+  }
+
+  void make_tuple(std::size_t n) {
+    const std::size_t d0 = st_.size() - n;
+    SInstr s;
+    if (n == 2) {
+      // Pair elements are read where they are; raw ones are boxed by kind.
+      auto elem = [&](std::size_t j, std::int32_t& slot, const Value*& k) {
+        const Opnd& o = st_[j];
+        if (o.raw() && o.where != Opnd::kConst) {
+          slot = raw_reg(j);
+          return static_cast<std::int32_t>(o.kind) + 1;
+        }
+        if (o.raw()) {
+          k = o.k;
+        } else {
+          boxed_ref(j, slot, k);
+        }
+        return 0;
+      };
+      s.op = jop::kPair;
+      s.c = elem(d0, s.a, s.k) | (elem(d0 + 1, s.b, s.k2) << 8);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) to_boxed_temp(d0 + i);
+      s.op = jop::kTuple;
+      s.a = tslot(d0);
+      s.b = static_cast<std::int32_t>(n);
+    }
+    st_.resize(d0);
+    produce(s, K::kTuple);
+  }
+
+  void call_prim(const Instr& in) {
+    const Primitive& prim = Primitives::instance().at(in.a);
+    const auto n = static_cast<std::size_t>(in.b);
+    const std::size_t d0 = st_.size() - n;
+    if (fold(prim, d0, in.ty)) return;
+    SInstr s;
+    s.prim = &prim;
+    s.b = in.b;
+    if (prim.raw != nullptr && is_raw_kind(in.ty)) {
+      std::vector<std::size_t> boxed, raw;
+      for (std::size_t i = 0; i < n; ++i) {
+        (is_raw_kind(prim.params[i]->kind()) ? raw : boxed).push_back(i);
+      }
+      s.op = jop::kCallRaw;
+      boxed_base(d0, boxed, s.a, s.k);
+      s.b = raw_base(d0, raw);
+    } else {
+      std::vector<std::size_t> all(n);
+      for (std::size_t i = 0; i < n; ++i) all[i] = i;
+      s.op = is_raw_kind(in.ty) ? jop::kCallPrimR : jop::kCallPrim;
+      boxed_base(d0, all, s.a, s.k);
+    }
+    st_.resize(d0);
+    produce(s, in.ty);
+  }
+
+  /// A pure primitive applied to constants is evaluated now, and its result
+  /// becomes a constant operand: `blobFromString("")` costs nothing per
+  /// packet.
+  bool fold(const Primitive& prim, std::size_t d0, K ty) {
+    if (!prim.pure || d0 == st_.size()) return false;
+    std::vector<Value> args;
+    for (std::size_t j = d0; j < st_.size(); ++j) {
+      if (st_[j].where != Opnd::kConst) return false;
+      args.push_back(*st_[j].k);
+    }
+    static NullEnv no_env;  // pure primitives never touch it
+    folded_.push_back(std::make_unique<const Value>(prim.fn(no_env, args)));
+    st_.resize(d0);
+    Opnd o{Opnd::kConst, ty};
+    o.k = folded_.back().get();
+    if (o.raw()) o.imm = raw_of(*o.k);
+    st_.push_back(o);
+    return true;
+  }
+
+  void call_fun(const Instr& in) {
+    const CodeBlock& fb = prog_.functions[static_cast<std::size_t>(in.a)];
+    const auto n = static_cast<std::size_t>(in.b);
+    if (n > 63) throw EvalBug{"jit: more than 63 function parameters"};
+    const std::size_t d0 = st_.size() - n;
+    SInstr s;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (is_raw_kind(fb.params[i])) {
+        std::int32_t r = raw_reg(d0 + i);
+        if (r != tslot(d0 + i)) {
+          SInstr mv;
+          mv.op = jop::kMovR;
+          mv.dst = tslot(d0 + i);
+          mv.a = r;
+          emit(mv);
+        }
+        s.imm |= std::int64_t{1} << i;
+      } else {
+        to_boxed_temp(d0 + i);
+      }
+    }
+    s.op = is_raw_kind(in.ty) ? jop::kCallFunR : jop::kCallFun;
+    s.a = in.a;
+    s.b = in.b;
+    s.c = tslot(d0);
+    st_.resize(d0);
+    produce(s, in.ty);
+  }
+
+  void binop(BinCode code, K ty) {
+    std::size_t l = st_.size() - 2, r = st_.size() - 1;
+    auto boxed_kind = [](const Opnd& o) { return !o.raw() && !o.bottom(); };
+    const bool arith = code == BinCode::kAdd || code == BinCode::kSub ||
+                       code == BinCode::kMul || code == BinCode::kDiv ||
+                       code == BinCode::kMod;
+    const bool boxed = code == BinCode::kConcat ||
+                       (!arith && (boxed_kind(st_[l]) || boxed_kind(st_[r])));
+    SInstr s;
+    if (boxed) {
+      s.op = code == BinCode::kConcat ? jop::kConcat
+             : code == BinCode::kEq   ? jop::kEqV
+             : code == BinCode::kNe   ? jop::kNeV
+                                      : jop::kCmpV;
+      s.imm = static_cast<std::int64_t>(code);
+      boxed_ref(l, s.a, s.k);
+      boxed_ref(r, s.b, s.k2);
+    } else {
+      // A constant on the left of a commuting operator moves right, so it
+      // can be patched in as the immediate.
+      if (st_[l].where == Opnd::kConst && st_[r].where != Opnd::kConst &&
+          mirrored(code) != BinCode::kConcat) {
+        std::swap(l, r);
+        code = mirrored(code);
+      }
+      s.a = raw_reg(l);
+      if (st_[r].where == Opnd::kConst) {
+        s.op = raw_binop(code) + 1;  // RI form
+        s.imm = st_[r].imm;
+      } else {
+        s.op = raw_binop(code);
+        s.b = raw_reg(r);
+      }
+    }
+    st_.resize(st_.size() - 2);
+    produce(s, ty);
+  }
+
+  const CodeBlock& block_;
+  const CompiledProgram& prog_;
+  const std::vector<Value>& globals_;
+  const std::int32_t base_;  // first temp slot
+  std::vector<Opnd> st_;
+  std::vector<SInstr> out_;
+  std::vector<std::vector<std::vector<K>>> edges_;  // per bytecode pc
+  std::vector<std::size_t> jumps_;  // control templates awaiting targets
+  std::vector<std::unique_ptr<const Value>> folded_;
+  std::size_t fence_ = 0;           // first template after the last label
+  std::size_t last_def_ = SIZE_MAX; // template that wrote the stack top
+};
+
+/// Does a channel body ever read its packet (local slot 2)? A false answer
+/// means the body is packet-oblivious and the dispatcher can skip payload
+/// decoding (match-only classification). Function calls are covered
+/// transitively: a callee only sees the packet if the caller loaded slot 2
+/// to pass it, which this scan catches.
+bool reads_packet(const CodeBlock& b) {
+  for (const Instr& in : b.code) {
+    if ((in.op == Op::kLoadLocal || in.op == Op::kStoreLocal) && in.a == 2) return true;
   }
   return false;
 }
@@ -70,8 +733,8 @@ bool block_reads_local(const JitBlock& b, std::int32_t slot) {
 /// dispatcher can enter specialized code directly for each packet.
 class JitEngine::PreparedChannel : public Engine::Channel {
  public:
-  PreparedChannel(JitEngine& e, const JitBlock& body)
-      : engine_(e), body_(body), packet_used_(block_reads_local(body, 2)) {}
+  PreparedChannel(JitEngine& e, const JitBlock& body, bool packet_used)
+      : engine_(e), body_(body), packet_used_(packet_used) {}
   bool packet_used() const override { return packet_used_; }
   Value run(const Value& ps, const Value& ss, const Value& packet) override {
     return engine_.run_channel_body(body_, ps, ss, packet);
@@ -83,268 +746,73 @@ class JitEngine::PreparedChannel : public Engine::Channel {
   bool packet_used_;
 };
 
-JitBlock specialize_block(const CodeBlock& block, const CompiledProgram& prog,
-                          bool fuse) {
-  const auto& code = block.code;
-  // Jump targets break fusion windows (a fused pair must not be jumped into
-  // the middle of).
-  std::unordered_set<std::size_t> targets;
-  for (const Instr& in : code) {
-    if (in.op == Op::kJump || in.op == Op::kJumpIfFalse || in.op == Op::kJumpIfTrue ||
-        in.op == Op::kTryPush) {
-      targets.insert(static_cast<std::size_t>(in.a));
-    }
-  }
-
-  JitBlock out;
-  out.frame_slots = block.frame_slots;
-  out.max_stack = block.max_stack;
-  std::vector<std::int32_t> new_pc(code.size() + 1, 0);
-
-  auto konst = [&](std::int32_t idx) -> const Value* {
-    return &prog.consts[static_cast<std::size_t>(idx)];
-  };
-  auto fusible = [&](std::size_t i) { return fuse && targets.count(i) == 0; };
-
-  std::size_t i = 0;
-  while (i < code.size()) {
-    new_pc[i] = static_cast<std::int32_t>(out.code.size());
-    const Instr& in = code[i];
-    SInstr s{};
-
-    // --- superinstruction templates -----------------------------------------
-    // LoadLocal p; Proj f; StoreLocal x   =>  MoveField
-    if (in.op == Op::kLoadLocal && i + 2 < code.size() && fusible(i + 1) &&
-        fusible(i + 2) && code[i + 1].op == Op::kProj &&
-        code[i + 2].op == Op::kStoreLocal) {
-      s.op = jop::kMoveField;
-      s.a = in.a;  // source slot
-      // field index in the low 16 bits, destination slot in the high bits
-      s.b = (code[i + 1].a & 0xFFFF) | (code[i + 2].a << 16);
-      out.code.push_back(s);
-      new_pc[i + 1] = new_pc[i];
-      new_pc[i + 2] = new_pc[i];
-      i += 3;
-      continue;
-    }
-    // LoadLocal p; Proj f  =>  ProjLocal
-    if (in.op == Op::kLoadLocal && i + 1 < code.size() && fusible(i + 1) &&
-        code[i + 1].op == Op::kProj) {
-      s.op = jop::kProjLocal;
-      s.a = in.a;
-      s.b = code[i + 1].a;
-      out.code.push_back(s);
-      new_pc[i + 1] = new_pc[i];
-      i += 2;
-      continue;
-    }
-    // LoadLocal x; CallPrim(p, 1)  =>  CallPrim1L
-    if (in.op == Op::kLoadLocal && i + 1 < code.size() && fusible(i + 1) &&
-        code[i + 1].op == Op::kCallPrim && code[i + 1].b == 1) {
-      s.op = jop::kCallPrim1L;
-      s.a = in.a;
-      s.prim = &Primitives::instance().at(code[i + 1].a);
-      out.code.push_back(s);
-      new_pc[i + 1] = new_pc[i];
-      i += 2;
-      continue;
-    }
-    // Const k; BinOp(=)  =>  EqConst
-    if (in.op == Op::kConst && i + 1 < code.size() && fusible(i + 1) &&
-        code[i + 1].op == Op::kBinOp &&
-        static_cast<BinCode>(code[i + 1].a) == BinCode::kEq) {
-      s.op = jop::kEqConst;
-      s.k = konst(in.a);
-      out.code.push_back(s);
-      new_pc[i + 1] = new_pc[i];
-      i += 2;
-      continue;
-    }
-    // LoadLocal x; Return  =>  ReturnLocal
-    if (in.op == Op::kLoadLocal && i + 1 < code.size() && fusible(i + 1) &&
-        code[i + 1].op == Op::kReturn) {
-      s.op = jop::kReturnLocal;
-      s.a = in.a;
-      out.code.push_back(s);
-      new_pc[i + 1] = new_pc[i];
-      i += 2;
-      continue;
-    }
-    // Const v; Send  =>  SendConst (the sent value is patched into the
-    // template; the common `drop()` / `deliver(v)` shapes never touch the
-    // stack at all)
-    if (in.op == Op::kConst && i + 1 < code.size() && fusible(i + 1) &&
-        code[i + 1].op == Op::kSend) {
-      s.op = jop::kSendConst;
-      s.a = code[i + 1].a;  // SendKind
-      s.k = konst(in.a);    // the value being sent
-      // interned channel id, as for kSend below
-      s.b = static_cast<std::int32_t>(net::ChannelTags::intern(
-          prog.consts[static_cast<std::size_t>(code[i + 1].b)].as_string()));
-      out.code.push_back(s);
-      new_pc[i + 1] = new_pc[i];
-      i += 2;
-      continue;
-    }
-    // Const; Pop  =>  nothing (dead sequence value, e.g. the unit a send
-    // pushes when its result is discarded by `;`)
-    if (in.op == Op::kConst && i + 1 < code.size() && fusible(i + 1) &&
-        code[i + 1].op == Op::kPop) {
-      new_pc[i + 1] = new_pc[i];
-      i += 2;
-      continue;
-    }
-    // LoadLocal x; Const k; Add  =>  AddConstLocal
-    if (in.op == Op::kLoadLocal && i + 2 < code.size() && fusible(i + 1) &&
-        fusible(i + 2) && code[i + 1].op == Op::kConst &&
-        code[i + 2].op == Op::kBinOp &&
-        static_cast<BinCode>(code[i + 2].a) == BinCode::kAdd) {
-      s.op = jop::kAddConstLocal;
-      s.a = in.a;
-      s.k = konst(code[i + 1].a);
-      out.code.push_back(s);
-      new_pc[i + 1] = new_pc[i];
-      new_pc[i + 2] = new_pc[i];
-      i += 3;
-      continue;
-    }
-    // LoadLocal y; MakeTuple 2; Return  =>  ReturnPairLocal — the dominant
-    // channel epilogue `(ps', ss)` becomes one template
-    if (in.op == Op::kLoadLocal && i + 2 < code.size() && fusible(i + 1) &&
-        fusible(i + 2) && code[i + 1].op == Op::kMakeTuple &&
-        code[i + 1].a == 2 && code[i + 2].op == Op::kReturn) {
-      s.op = jop::kReturnPairLocal;
-      s.a = in.a;
-      out.code.push_back(s);
-      new_pc[i + 1] = new_pc[i];
-      new_pc[i + 2] = new_pc[i];
-      i += 3;
-      continue;
-    }
-
-    // --- 1:1 templates ---------------------------------------------------------
-    switch (in.op) {
-      case Op::kConst:
-        s.op = jop::kConst;
-        s.k = konst(in.a);
-        break;
-      case Op::kLoadLocal: s.op = jop::kLoadLocal; s.a = in.a; break;
-      case Op::kStoreLocal: s.op = jop::kStoreLocal; s.a = in.a; break;
-      case Op::kLoadGlobal: s.op = jop::kLoadGlobal; s.a = in.a; break;
-      case Op::kJump: s.op = jop::kJump; s.a = in.a; break;
-      case Op::kJumpIfFalse: s.op = jop::kJumpIfFalse; s.a = in.a; break;
-      case Op::kJumpIfTrue: s.op = jop::kJumpIfTrue; s.a = in.a; break;
-      case Op::kPop: s.op = jop::kPop; break;
-      case Op::kDup: s.op = jop::kDup; break;
-      case Op::kMakeTuple: s.op = jop::kMakeTuple; s.a = in.a; break;
-      case Op::kProj: s.op = jop::kProj; s.a = in.a; break;
-      case Op::kCallPrim:
-        s.op = jop::kCallPrim;
-        s.b = in.b;
-        s.prim = &Primitives::instance().at(in.a);
-        break;
-      case Op::kCallFun: s.op = jop::kCallFun; s.a = in.a; s.b = in.b; break;
-      case Op::kBinOp: s.op = jop_of_bincode(static_cast<BinCode>(in.a)); break;
-      case Op::kNot: s.op = jop::kNot; break;
-      case Op::kNeg: s.op = jop::kNeg; break;
-      case Op::kRaise:
-        s.op = jop::kRaise;
-        s.k = konst(in.a);
-        break;
-      case Op::kTryPush: s.op = jop::kTryPush; s.a = in.a; break;
-      case Op::kTryPop: s.op = jop::kTryPop; break;
-      case Op::kSend:
-        s.op = jop::kSend;
-        s.a = in.a;
-        s.k = konst(in.b);
-        // Patch the interned channel id in at specialization time: the send
-        // handler then dispatches by integer tag, never hashing the name on
-        // the packet path. (Deliver/drop carry the empty name, tag 0.)
-        s.b = static_cast<std::int32_t>(
-            net::ChannelTags::intern(s.k->as_string()));
-        break;
-      case Op::kReturn: s.op = jop::kReturn; break;
-    }
-    out.code.push_back(s);
-    ++i;
-  }
-  new_pc[code.size()] = static_cast<std::int32_t>(out.code.size());
-
-  // Patch jump targets to specialized addresses.
-  for (SInstr& s : out.code) {
-    switch (s.op) {
-      case jop::kJump:
-      case jop::kJumpIfFalse:
-      case jop::kJumpIfTrue:
-      case jop::kTryPush:
-        s.a = new_pc[static_cast<std::size_t>(s.a)];
-        break;
-      default:
-        break;
-    }
-  }
-  return out;
+void JitEngine::Frame::fit(int slots) {
+  const auto n = static_cast<std::size_t>(slots);
+  if (v.size() >= n) return;
+  mem::ScopedAllocTag tag(mem::AllocTag::kFrame);
+  v.resize(n);
+  r.resize(n);
+  tries.reserve(8);
 }
 
-JitEngine::JitEngine(const CompiledProgram& prog, EnvApi& env, bool fuse)
-    : prog_(prog), env_(env) {
+JitBlock JitEngine::specialize(const CodeBlock& b) {
   auto t0 = std::chrono::steady_clock::now();
-  functions_.reserve(prog_.functions.size());
-  for (const CodeBlock& b : prog_.functions) {
-    functions_.push_back(specialize_block(b, prog_, fuse));
-  }
-  channel_bodies_.reserve(prog_.channel_bodies.size());
-  for (const CodeBlock& b : prog_.channel_bodies) {
-    channel_bodies_.push_back(specialize_block(b, prog_, fuse));
-  }
-  channel_inits_.reserve(prog_.channel_inits.size());
-  for (const CodeBlock& b : prog_.channel_inits) {
-    channel_inits_.push_back(specialize_block(b, prog_, fuse));
-  }
-  std::vector<JitBlock> global_blocks;
-  global_blocks.reserve(prog_.global_inits.size());
-  for (const CodeBlock& b : prog_.global_inits) {
-    global_blocks.push_back(specialize_block(b, prog_, fuse));
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  stats_.generation_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  stats_.input_instrs = prog_.total_instructions();
-  for (const auto& v : {std::cref(functions_), std::cref(channel_bodies_),
-                        std::cref(channel_inits_), std::cref(global_blocks)}) {
-    for (const JitBlock& b : v.get()) stats_.output_instrs += b.code.size();
-  }
-  stats_.code_bytes = stats_.output_instrs * sizeof(SInstr);
-  if (prog_.source != nullptr) stats_.source_lines = prog_.source->program.source_lines;
-
+  JitBlock out = Specializer(b, prog_, globals_).run();
   // Direct threading: resolve each template's opcode to its handler address
   // once, here, so run_block dispatches with a single indirect goto instead
   // of a bounds-checked switch. Under the fallback build the table is null
   // and the handlers stay unpatched (the switch ignores them).
+  if (handlers_ != nullptr) {
+    for (SInstr& s : out.code) s.handler = handlers_[static_cast<std::size_t>(s.op)];
+  }
+  stats_.generation_ms +=
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+          .count();
+  stats_.output_instrs += out.code.size();
+  return out;
+}
+
+JitEngine::JitEngine(const CompiledProgram& prog, EnvApi& env) : prog_(prog), env_(env) {
   {
-    const void* const* table = nullptr;
-    Buffers& probe = buffer_at(0);
     JitBlock empty;
-    run_block(empty, probe, &table);
-    if (table != nullptr) {
-      auto patch = [&](std::vector<JitBlock>& blocks) {
-        for (JitBlock& blk : blocks) {
-          for (SInstr& s : blk.code) {
-            s.handler = table[static_cast<std::size_t>(s.op)];
-          }
-        }
-      };
-      patch(functions_);
-      patch(channel_bodies_);
-      patch(channel_inits_);
-      patch(global_blocks);
+    run_block(empty, frame_at(0), &handlers_);
+  }
+  // Declaration order: a `val` may call earlier functions and a function may
+  // read earlier `val`s, so each block is specialized once everything it can
+  // see exists — with the values of the globals patched in.
+  globals_.reserve(prog_.global_inits.size());
+  functions_.reserve(prog_.functions.size());
+  std::size_t next_fun = 0;
+  if (prog_.source != nullptr) {
+    for (const auto& decl : prog_.source->program.decls) {
+      if (std::holds_alternative<FunDef>(decl)) {
+        functions_.push_back(specialize(prog_.functions[next_fun++]));
+      } else if (std::holds_alternative<ValDef>(decl)) {
+        JitBlock b = specialize(prog_.global_inits[globals_.size()]);
+        Frame& fr = frame_at(depth_);
+        fr.fit(b.slots);
+        globals_.push_back(run_block(b, fr));
+      }
     }
   }
+  for (; next_fun < prog_.functions.size(); ++next_fun) {
+    functions_.push_back(specialize(prog_.functions[next_fun]));
+  }
+  channel_bodies_.reserve(prog_.channel_bodies.size());
+  for (const CodeBlock& b : prog_.channel_bodies) channel_bodies_.push_back(specialize(b));
+  channel_inits_.reserve(prog_.channel_inits.size());
+  for (const CodeBlock& b : prog_.channel_inits) channel_inits_.push_back(specialize(b));
+
+  stats_.input_instrs = prog_.total_instructions();
+  stats_.code_bytes = stats_.output_instrs * sizeof(SInstr);
+  if (prog_.source != nullptr) stats_.source_lines = prog_.source->program.source_lines;
 
   // Prepared dispatch handles, one per channel. channel_bodies_ is frozen
   // from here on, so the handles can keep direct block references.
   prepared_.reserve(channel_bodies_.size());
-  for (const JitBlock& b : channel_bodies_) {
-    prepared_.push_back(std::make_unique<PreparedChannel>(*this, b));
+  for (std::size_t i = 0; i < channel_bodies_.size(); ++i) {
+    prepared_.push_back(std::make_unique<PreparedChannel>(
+        *this, channel_bodies_[i], reads_packet(prog_.channel_bodies[i])));
   }
 
   // Figure 3 in registry form: specialization cost per JIT construction.
@@ -353,19 +821,17 @@ JitEngine::JitEngine(const CompiledProgram& prog, EnvApi& env, bool fuse)
   reg.counter("planp/jit/compiles").inc();
   reg.counter("planp/jit/input_instrs").inc(stats_.input_instrs);
   reg.counter("planp/jit/output_instrs").inc(stats_.output_instrs);
-
-  globals_.reserve(global_blocks.size());
-  for (const JitBlock& b : global_blocks) {
-    Buffers& buf = buffer_at(0);
-    buf.locals.assign(static_cast<std::size_t>(std::max(b.frame_slots, 8)), Value{});
-    globals_.push_back(run_block(b, buf));
-  }
 }
 
 JitEngine::~JitEngine() = default;
 
-JitEngine::Buffers& JitEngine::buffer_at(int depth) {
-  return arena_.at_depth(static_cast<std::size_t>(depth));
+JitEngine::Frame& JitEngine::frame_at(int depth) {
+  const auto d = static_cast<std::size_t>(depth);
+  if (d >= frames_.size()) {
+    mem::ScopedAllocTag tag(mem::AllocTag::kFrame);
+    while (frames_.size() <= d) frames_.push_back(std::make_unique<Frame>());
+  }
+  return *frames_[d];
 }
 
 Value JitEngine::init_state(int chan_idx) {
@@ -374,9 +840,9 @@ Value JitEngine::init_state(int chan_idx) {
     return default_value(
         prog_.source->channels.at(static_cast<std::size_t>(chan_idx))->ss_type);
   }
-  Buffers& buf = buffer_at(depth_);
-  buf.locals.assign(static_cast<std::size_t>(std::max(b.frame_slots, 8)), Value{});
-  return run_block(b, buf);
+  Frame& fr = frame_at(depth_);
+  fr.fit(b.slots);
+  return run_block(b, fr);
 }
 
 Value JitEngine::run_channel(int chan_idx, const Value& ps, const Value& ss,
@@ -391,16 +857,29 @@ Engine::Channel* JitEngine::channel(int chan_idx) {
 
 Value JitEngine::run_channel_body(const JitBlock& b, const Value& ps,
                                   const Value& ss, const Value& packet) {
-  Buffers& buf = buffer_at(depth_);
-  std::size_t slots = static_cast<std::size_t>(std::max(b.frame_slots, 3));
-  buf.locals.resize(slots);
-  buf.locals[0] = ps;
-  buf.locals[1] = ss;
-  buf.locals[2] = packet;
-  Value out = run_block(b, buf);
+  Frame& fr = frame_at(depth_);
+  fr.fit(std::max(b.slots, 3));
+  const Value* args[3] = {&ps, &ss, &packet};
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (i < b.params.size() && is_raw_kind(b.params[i])) {
+      fr.r[i] = raw_of(*args[i]);
+    } else {
+      fr.v[i] = *args[i];
+    }
+  }
+  Value out = run_block(b, fr);
+  // Let go of the packet: the runtime refills its decode tuple in place only
+  // while it holds the last reference to it.
+  fr.v[2] = Value();
   if (mem::poison_enabled()) {
+    // Any slot still read after this point now yields the sentinel: boxed
+    // slots hold the poison int, raw slots its raw value. Frames below
+    // depth_ belong to a dispatch this run is nested in and stay intact.
     const Value sentinel = Value::of_int(mem::kPoisonInt);
-    for (std::size_t d = 0; d < arena_.depth(); ++d) arena_.scribble(d, sentinel);
+    for (std::size_t d = static_cast<std::size_t>(depth_); d < frames_.size(); ++d) {
+      std::fill(frames_[d]->v.begin(), frames_[d]->v.end(), sentinel);
+      std::fill(frames_[d]->r.begin(), frames_[d]->r.end(), mem::kPoisonInt);
+    }
   }
   return out;
 }
@@ -424,23 +903,20 @@ Value JitEngine::run_channel_body(const JitBlock& b, const Value& ps,
 #define VM_CASE(name) case jop::name
 #endif
 
-Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
+// Operand accessors inside run_block.
+#define OPA (in->k != nullptr ? *in->k : V[in->a])
+#define OPB (in->k2 != nullptr ? *in->k2 : V[in->b])
+#define RDST R[in->dst]
+#define RA R[in->a]
+#define RB R[in->b]
+
+Value JitEngine::run_block(const JitBlock& block, Frame& fr,
                           const void* const** table_out) {
 #if ASP_JIT_THREADED
-  // Must mirror the jop enum order exactly: entry i handles opcode i.
-  static const void* const kLabels[jop::kCount] = {
-      &&lbl_kConst,     &&lbl_kLoadLocal, &&lbl_kStoreLocal, &&lbl_kLoadGlobal,
-      &&lbl_kJump,      &&lbl_kJumpIfFalse, &&lbl_kJumpIfTrue, &&lbl_kPop,
-      &&lbl_kDup,       &&lbl_kMakeTuple, &&lbl_kProj,       &&lbl_kCallPrim,
-      &&lbl_kCallFun,   &&lbl_kNot,       &&lbl_kNeg,        &&lbl_kRaise,
-      &&lbl_kTryPush,   &&lbl_kTryPop,    &&lbl_kSend,       &&lbl_kReturn,
-      &&lbl_kAdd,       &&lbl_kSub,       &&lbl_kMul,        &&lbl_kDiv,
-      &&lbl_kMod,       &&lbl_kEq,        &&lbl_kNe,         &&lbl_kLt,
-      &&lbl_kLe,        &&lbl_kGt,        &&lbl_kGe,         &&lbl_kConcat,
-      &&lbl_kProjLocal, &&lbl_kMoveField, &&lbl_kCallPrim1L, &&lbl_kEqConst,
-      &&lbl_kReturnLocal, &&lbl_kSendConst, &&lbl_kAddConstLocal,
-      &&lbl_kReturnPairLocal,
-  };
+#define ASP_JIT_LABEL(name) &&lbl_k##name,
+  // Generated from ASP_JIT_OPS: entry i handles opcode i.
+  static const void* const kLabels[jop::kCount] = {ASP_JIT_OPS(ASP_JIT_LABEL)};
+#undef ASP_JIT_LABEL
   if (table_out != nullptr) {
     *table_out = kLabels;
     return Value{};
@@ -452,7 +928,7 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
   }
 #endif
 
-  // Re-entering through kCallFun uses the next pool slot; the guard keeps
+  // Re-entering through kCallFun uses the next frame; the guard keeps
   // depth_ correct even when a PLAN-P exception unwinds through this frame.
   struct DepthGuard {
     int& d;
@@ -460,19 +936,10 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
     ~DepthGuard() { --d; }
   } guard(depth_);
 
-  std::vector<Value>& locals = buf.locals;
-  std::vector<Value>& stack = buf.stack;
-  stack.clear();
-  if (stack.capacity() < static_cast<std::size_t>(block.max_stack)) {
-    mem::ScopedAllocTag tag(mem::AllocTag::kFrame);
-    stack.reserve(static_cast<std::size_t>(block.max_stack));
-  }
-  std::vector<Value>& scratch_args = buf.args;
-  struct TryFrame {
-    std::int32_t handler_pc;
-    std::size_t stack_depth;
-  };
-  std::vector<TryFrame> tries;
+  Value* const V = fr.v.data();
+  std::int64_t* const R = fr.r.data();
+  std::vector<std::int32_t>& tries = fr.tries;
+  tries.clear();
   const SInstr* code = block.code.data();
   const SInstr* in = nullptr;
   std::size_t pc = 0;
@@ -487,211 +954,169 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
 #else
       VM_DISPATCH();
 #endif
-        VM_CASE(kConst) : stack.push_back(*in->k);
+        VM_CASE(kMovR) : RDST = RA;
         VM_DISPATCH();
-        VM_CASE(kLoadLocal) : stack.push_back(locals[static_cast<std::size_t>(in->a)]);
+        VM_CASE(kImmR) : RDST = in->imm;
         VM_DISPATCH();
-        VM_CASE(kStoreLocal) : {
-          locals[static_cast<std::size_t>(in->a)] = std::move(stack.back());
-          stack.pop_back();
+        VM_CASE(kMovV) : V[in->dst] = OPA;
+        VM_DISPATCH();
+        VM_CASE(kBoxInt) : V[in->dst] = Value::of_int(RA);
+        VM_DISPATCH();
+        VM_CASE(kBoxBool) : V[in->dst] = Value::of_bool(RA != 0);
+        VM_DISPATCH();
+        VM_CASE(kBoxChar) : V[in->dst] = Value::of_char(static_cast<char>(RA));
+        VM_DISPATCH();
+        VM_CASE(kBoxHost)
+            : V[in->dst] = Value::of_host(net::Ipv4Addr(static_cast<std::uint32_t>(RA)));
+        VM_DISPATCH();
+
+        VM_CASE(kJump) : pc = static_cast<std::size_t>(in->dst);
+        VM_DISPATCH();
+        VM_CASE(kJumpIfFalse) : if (RA == 0) pc = static_cast<std::size_t>(in->dst);
+        VM_DISPATCH();
+        VM_CASE(kJumpIfTrue) : if (RA != 0) pc = static_cast<std::size_t>(in->dst);
+        VM_DISPATCH();
+
+#define ASP_JIT_ARITH(name, expr_rr, expr_ri) \
+  VM_CASE(k##name##RR) : RDST = expr_rr;      \
+  VM_DISPATCH();                              \
+  VM_CASE(k##name##RI) : RDST = expr_ri;      \
+  VM_DISPATCH();
+        ASP_JIT_ARITH(Add, int_add(RA, RB), int_add(RA, in->imm))
+        ASP_JIT_ARITH(Sub, int_sub(RA, RB), int_sub(RA, in->imm))
+        ASP_JIT_ARITH(Mul, int_mul(RA, RB), int_mul(RA, in->imm))
+        ASP_JIT_ARITH(Div, int_div(RA, RB), int_div(RA, in->imm))
+        ASP_JIT_ARITH(Mod, int_mod(RA, RB), int_mod(RA, in->imm))
+        ASP_JIT_ARITH(Eq, RA == RB, RA == in->imm)
+        ASP_JIT_ARITH(Ne, RA != RB, RA != in->imm)
+        ASP_JIT_ARITH(Lt, RA < RB, RA < in->imm)
+        ASP_JIT_ARITH(Le, RA <= RB, RA <= in->imm)
+        ASP_JIT_ARITH(Gt, RA > RB, RA > in->imm)
+        ASP_JIT_ARITH(Ge, RA >= RB, RA >= in->imm)
+#undef ASP_JIT_ARITH
+
+#define ASP_JIT_BRANCH(name, op)                                         \
+  VM_CASE(kBr##name##RR) : if (RA op RB) pc = static_cast<std::size_t>(in->dst); \
+  VM_DISPATCH();                                                         \
+  VM_CASE(kBr##name##RI) : if (RA op in->imm) pc = static_cast<std::size_t>(in->dst); \
+  VM_DISPATCH();
+        ASP_JIT_BRANCH(Eq, ==)
+        ASP_JIT_BRANCH(Ne, !=)
+        ASP_JIT_BRANCH(Lt, <)
+        ASP_JIT_BRANCH(Le, <=)
+        ASP_JIT_BRANCH(Gt, >)
+        ASP_JIT_BRANCH(Ge, >=)
+#undef ASP_JIT_BRANCH
+
+        VM_CASE(kNeg) : RDST = int_sub(0, RA);
+        VM_DISPATCH();
+        VM_CASE(kNot) : RDST = RA == 0 ? 1 : 0;
+        VM_DISPATCH();
+        VM_CASE(kEqV) : RDST = OPA.equals(OPB) ? 1 : 0;
+        VM_DISPATCH();
+        VM_CASE(kNeV) : RDST = OPA.equals(OPB) ? 0 : 1;
+        VM_DISPATCH();
+        VM_CASE(kCmpV)
+            : RDST = holds(static_cast<BinCode>(in->imm), compare_values(OPA, OPB)) ? 1 : 0;
+        VM_DISPATCH();
+        VM_CASE(kConcat) : V[in->dst] = Value::of_string(OPA.as_string() + OPB.as_string());
+        VM_DISPATCH();
+
+        VM_CASE(kPair) : {
+          // Pairs dominate ASP tuples; scalar pairs store inline in the
+          // Value (no shared_ptr<vector>, no allocation).
+          const std::int32_t rk0 = in->c & 0xFF, rk1 = in->c >> 8;
+          Value first = rk0 != 0 ? box_raw(static_cast<K>(rk0 - 1), RA) : OPA;
+          Value second = rk1 != 0 ? box_raw(static_cast<K>(rk1 - 1), RB) : OPB;
+          V[in->dst] = Value::of_pair(std::move(first), std::move(second));
         }
         VM_DISPATCH();
-        VM_CASE(kLoadGlobal) : stack.push_back(globals_[static_cast<std::size_t>(in->a)]);
-        VM_DISPATCH();
-        VM_CASE(kJump) : pc = static_cast<std::size_t>(in->a);
-        VM_DISPATCH();
-        VM_CASE(kJumpIfFalse) : {
-          bool c = stack.back().as_bool();
-          stack.pop_back();
-          if (!c) pc = static_cast<std::size_t>(in->a);
+        VM_CASE(kTuple) : {
+          const auto n = static_cast<std::size_t>(in->b);
+          TupleRep t = Value::make_tuple_storage(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            t->push_back(std::move(V[static_cast<std::size_t>(in->a) + i]));
+          }
+          V[in->dst] = Value::of_tuple_rep(std::move(t));
         }
         VM_DISPATCH();
-        VM_CASE(kJumpIfTrue) : {
-          bool c = stack.back().as_bool();
-          stack.pop_back();
-          if (c) pc = static_cast<std::size_t>(in->a);
-        }
-        VM_DISPATCH();
-        VM_CASE(kPop) : stack.pop_back();
-        VM_DISPATCH();
-        VM_CASE(kDup) : stack.push_back(stack.back());
-        VM_DISPATCH();
-        VM_CASE(kMakeTuple) : {
-          std::size_t n = static_cast<std::size_t>(in->a);
-          if (n == 2) {
-            // Pairs dominate ASP tuples; scalar pairs store inline in the
-            // Value (no shared_ptr<vector>, no allocation).
-            Value second = std::move(stack.back());
-            stack.pop_back();
-            Value first = std::move(stack.back());
-            stack.pop_back();
-            stack.push_back(Value::of_pair(std::move(first), std::move(second)));
+        VM_CASE(kProjV) : {
+          // Copy straight out of a pooled tuple, unless the tuple lives only
+          // in the slot being overwritten.
+          const Value& t = OPA;
+          const Value* e = t.tuple_elem(static_cast<std::size_t>(in->b));
+          if (e != nullptr && (in->k != nullptr || in->dst != in->a)) {
+            V[in->dst] = *e;
           } else {
-            TupleRep t = Value::make_tuple_storage(n);
-            t->assign(std::make_move_iterator(stack.end() - static_cast<std::ptrdiff_t>(n)),
-                      std::make_move_iterator(stack.end()));
-            stack.resize(stack.size() - n);
-            stack.push_back(Value::of_tuple_rep(std::move(t)));
+            V[in->dst] = t.tuple_at(static_cast<std::size_t>(in->b));
           }
         }
         VM_DISPATCH();
-        VM_CASE(kProj) : {
-          Value t = std::move(stack.back());
-          stack.pop_back();
-          stack.push_back(t.tuple_at(static_cast<std::size_t>(in->a)));
-        }
+        VM_CASE(kProjR) : RDST = raw_field(OPA, static_cast<std::size_t>(in->b));
         VM_DISPATCH();
-        VM_CASE(kCallPrim) : {
-          std::size_t n = static_cast<std::size_t>(in->b);
-          scratch_args.assign(stack.end() - static_cast<std::ptrdiff_t>(n),
-                              stack.end());
-          stack.resize(stack.size() - n);
-          stack.push_back(in->prim->fn(env_, scratch_args));
-        }
+
+        VM_CASE(kCallPrim)
+            : V[in->dst] = in->prim->fn(
+                  env_, std::span<const Value>(in->k != nullptr ? in->k : V + in->a,
+                                               static_cast<std::size_t>(in->b)));
         VM_DISPATCH();
-        VM_CASE(kCallFun) : {
-          std::size_t n = static_cast<std::size_t>(in->b);
+        VM_CASE(kCallPrimR)
+            : RDST = raw_of(in->prim->fn(
+                  env_, std::span<const Value>(in->k != nullptr ? in->k : V + in->a,
+                                               static_cast<std::size_t>(in->b))));
+        VM_DISPATCH();
+        VM_CASE(kCallRaw)
+            : RDST = in->prim->raw(env_, in->k != nullptr ? in->k : V + in->a, R + in->b);
+        VM_DISPATCH();
+        VM_CASE(kCallFun) : VM_CASE(kCallFunR) : {
           const JitBlock& fb = functions_[static_cast<std::size_t>(in->a)];
-          Buffers& fbuf = buffer_at(depth_);
-          fbuf.locals.resize(static_cast<std::size_t>(
-              std::max<int>(fb.frame_slots, static_cast<int>(n))));
-          for (std::size_t k = 0; k < n; ++k) {
-            fbuf.locals[n - 1 - k] = std::move(stack.back());
-            stack.pop_back();
+          Frame& callee = frame_at(depth_);
+          callee.fit(fb.slots);
+          for (std::int32_t i = 0; i < in->b; ++i) {
+            const auto from = static_cast<std::size_t>(in->c + i);
+            if ((in->imm >> i) & 1) {
+              callee.r[static_cast<std::size_t>(i)] = R[from];
+            } else {
+              callee.v[static_cast<std::size_t>(i)] = std::move(V[from]);
+            }
           }
-          stack.push_back(run_block(fb, fbuf));
+          Value out = run_block(fb, callee);
+          if (in->op == jop::kCallFun) {
+            V[in->dst] = std::move(out);
+          } else {
+            RDST = raw_of(out);
+          }
         }
         VM_DISPATCH();
-        VM_CASE(kAdd) : {
-          std::int64_t b2 = stack.back().as_int();
-          stack.pop_back();
-          stack.back() = Value::of_int(stack.back().as_int() + b2);
-        }
-        VM_DISPATCH();
-        VM_CASE(kSub) : {
-          std::int64_t b2 = stack.back().as_int();
-          stack.pop_back();
-          stack.back() = Value::of_int(stack.back().as_int() - b2);
-        }
-        VM_DISPATCH();
-        VM_CASE(kMul) : {
-          std::int64_t b2 = stack.back().as_int();
-          stack.pop_back();
-          stack.back() = Value::of_int(stack.back().as_int() * b2);
-        }
-        VM_DISPATCH();
-        VM_CASE(kDiv) : {
-          std::int64_t b2 = stack.back().as_int();
-          stack.pop_back();
-          if (b2 == 0) throw PlanPException{"DivByZero"};
-          stack.back() = Value::of_int(stack.back().as_int() / b2);
-        }
-        VM_DISPATCH();
-        VM_CASE(kMod) : {
-          std::int64_t b2 = stack.back().as_int();
-          stack.pop_back();
-          if (b2 == 0) throw PlanPException{"DivByZero"};
-          stack.back() = Value::of_int(stack.back().as_int() % b2);
-        }
-        VM_DISPATCH();
-        VM_CASE(kEq) : {
-          Value b2 = std::move(stack.back());
-          stack.pop_back();
-          stack.back() = Value::of_bool(stack.back().equals(b2));
-        }
-        VM_DISPATCH();
-        VM_CASE(kNe) : {
-          Value b2 = std::move(stack.back());
-          stack.pop_back();
-          stack.back() = Value::of_bool(!stack.back().equals(b2));
-        }
-        VM_DISPATCH();
-        VM_CASE(kLt) : VM_CASE(kLe) : VM_CASE(kGt) : VM_CASE(kGe) : {
-          Value b2 = std::move(stack.back());
-          stack.pop_back();
-          int cmp = compare_values(stack.back(), b2);
-          bool r = in->op == jop::kLt   ? cmp < 0
-                   : in->op == jop::kLe ? cmp <= 0
-                   : in->op == jop::kGt ? cmp > 0
-                                        : cmp >= 0;
-          stack.back() = Value::of_bool(r);
-        }
-        VM_DISPATCH();
-        VM_CASE(kConcat) : {
-          std::string b2 = stack.back().as_string();
-          stack.pop_back();
-          stack.back() = Value::of_string(stack.back().as_string() + b2);
-        }
-        VM_DISPATCH();
-        VM_CASE(kNot) : stack.back() = Value::of_bool(!stack.back().as_bool());
-        VM_DISPATCH();
-        VM_CASE(kNeg) : stack.back() = Value::of_int(-stack.back().as_int());
-        VM_DISPATCH();
+
         VM_CASE(kRaise) : throw PlanPException{in->k->as_string()};
-        VM_CASE(kTryPush) : tries.push_back(TryFrame{in->a, stack.size()});
+        VM_CASE(kTryPush) : tries.push_back(in->dst);
         VM_DISPATCH();
         VM_CASE(kTryPop) : tries.pop_back();
         VM_DISPATCH();
         VM_CASE(kSend) : {
-          Value pkt = std::move(stack.back());
-          stack.pop_back();
-          // in->b holds the channel id interned at specialization time.
-          switch (static_cast<SendKind>(in->a)) {
+          // in->c holds the channel id interned at specialization time.
+          switch (static_cast<SendKind>(in->b)) {
             case SendKind::kOnRemote:
-              env_.on_remote(static_cast<std::uint32_t>(in->b), pkt);
+              env_.on_remote(static_cast<std::uint32_t>(in->c), OPA);
               break;
             case SendKind::kOnNeighbor:
-              env_.on_neighbor(static_cast<std::uint32_t>(in->b), pkt);
+              env_.on_neighbor(static_cast<std::uint32_t>(in->c), OPA);
               break;
-            case SendKind::kDeliver: env_.deliver(pkt); break;
+            case SendKind::kDeliver: env_.deliver(OPA); break;
             case SendKind::kDrop: env_.drop(); break;
           }
         }
         VM_DISPATCH();
-        VM_CASE(kReturn) : return std::move(stack.back());
-
-        // --- superinstructions --------------------------------------------------
-        VM_CASE(kProjLocal) : stack.push_back(
-            locals[static_cast<std::size_t>(in->a)]
-                .tuple_at(static_cast<std::size_t>(in->b)));
-        VM_DISPATCH();
-        VM_CASE(kMoveField) : {
-          int field = in->b & 0xFFFF;
-          int dst = in->b >> 16;
-          locals[static_cast<std::size_t>(dst)] =
-              locals[static_cast<std::size_t>(in->a)]
-                  .tuple_at(static_cast<std::size_t>(field));
+        VM_CASE(kReturnV) : {
+          if (in->k != nullptr) return *in->k;
+          return std::move(V[in->a]);  // the frame is done with it
         }
-        VM_DISPATCH();
-        VM_CASE(kCallPrim1L) : {
-          scratch_args.assign(1, locals[static_cast<std::size_t>(in->a)]);
-          stack.push_back(in->prim->fn(env_, scratch_args));
-        }
-        VM_DISPATCH();
-        VM_CASE(kEqConst) : stack.back() = Value::of_bool(stack.back().equals(*in->k));
-        VM_DISPATCH();
-        VM_CASE(kReturnLocal) : return locals[static_cast<std::size_t>(in->a)];
-        VM_CASE(kSendConst) : {
-          switch (static_cast<SendKind>(in->a)) {
-            case SendKind::kOnRemote:
-              env_.on_remote(static_cast<std::uint32_t>(in->b), *in->k);
-              break;
-            case SendKind::kOnNeighbor:
-              env_.on_neighbor(static_cast<std::uint32_t>(in->b), *in->k);
-              break;
-            case SendKind::kDeliver: env_.deliver(*in->k); break;
-            case SendKind::kDrop: env_.drop(); break;
-          }
-        }
-        VM_DISPATCH();
-        VM_CASE(kAddConstLocal) : stack.push_back(Value::of_int(
-            locals[static_cast<std::size_t>(in->a)].as_int() + in->k->as_int()));
-        VM_DISPATCH();
-        VM_CASE(kReturnPairLocal) : {
-          Value first = std::move(stack.back());
-          stack.pop_back();
-          return Value::of_pair(std::move(first),
-                                locals[static_cast<std::size_t>(in->a)]);
+        VM_CASE(kReturnR) : return box_raw(static_cast<K>(in->imm), RA);
+        VM_CASE(kReturnPair) : {
+          const std::int32_t rk0 = in->c & 0xFF, rk1 = in->c >> 8;
+          return Value::of_pair(rk0 != 0 ? box_raw(static_cast<K>(rk0 - 1), RA) : OPA,
+                                rk1 != 0 ? box_raw(static_cast<K>(rk1 - 1), RB) : OPB);
         }
 
 #if !ASP_JIT_THREADED
@@ -701,14 +1126,17 @@ Value JitEngine::run_block(const JitBlock& block, Buffers& buf,
 #endif
     } catch (const PlanPException&) {
       if (tries.empty()) throw;
-      TryFrame t = tries.back();
+      pc = static_cast<std::size_t>(tries.back());
       tries.pop_back();
-      stack.resize(t.stack_depth);
-      pc = static_cast<std::size_t>(t.handler_pc);
     }
   }
 }
 
+#undef OPA
+#undef OPB
+#undef RDST
+#undef RA
+#undef RB
 #undef VM_DISPATCH
 #undef VM_CASE
 

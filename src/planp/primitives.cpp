@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "planp/cache.hpp"
 
@@ -9,7 +10,7 @@ namespace asp::planp {
 
 namespace {
 
-using Args = std::vector<Value>;
+using Args = std::span<const Value>;
 
 [[noreturn]] void raise(const char* name) { throw PlanPException{name}; }
 
@@ -25,6 +26,14 @@ std::int16_t sample16(const std::vector<std::uint8_t>& pcm, std::size_t i) {
 void put16(std::vector<std::uint8_t>& out, std::int16_t s) {
   out.push_back(static_cast<std::uint8_t>(s & 0xFF));
   out.push_back(static_cast<std::uint8_t>((s >> 8) & 0xFF));
+}
+
+// blobInt: 64-bit little-endian field at `off`; 0 when out of range.
+std::int64_t blob_int(const std::vector<std::uint8_t>& b, std::int64_t off) {
+  if (off < 0 || off + 8 > static_cast<std::int64_t>(b.size())) return 0;
+  std::uint64_t v = 0;
+  std::memcpy(&v, b.data() + off, 8);  // LE hosts only, like sample16
+  return static_cast<std::int64_t>(v);
 }
 
 }  // namespace
@@ -94,25 +103,36 @@ TypePtr TAB() { return Type::Table(Type::Var(0), Type::Var(1)); }
 
 Primitives::Primitives() {
   auto add = [this](std::string name, std::vector<TypePtr> params, TypePtr ret,
-                    std::function<Value(EnvApi&, const Args&)> fn,
-                    bool may_raise = false, int cost = 1) {
+                    PrimFn fn, bool may_raise = false, int cost = 1) {
     int idx = static_cast<int>(prims_.size());
     by_name_[name].push_back(idx);
-    prims_.push_back(
-        Primitive{std::move(name), std::move(params), std::move(ret), may_raise,
-                  std::move(fn), cost});
+    prims_.push_back(Primitive{std::move(name), std::move(params), std::move(ret),
+                               may_raise, fn, cost, nullptr});
+    return idx;
+  };
+  // Marks the overload `add` just registered as foldable on constant
+  // arguments at specialization time (primitives.hpp).
+  auto pure = [this](int idx) {
+    Primitive& p = prims_[static_cast<std::size_t>(idx)];
+    if (p.may_raise) throw std::logic_error("primitive " + p.name + ": pure but may raise");
+    p.pure = true;
+    return idx;
+  };
+  // Raw-scalar entry for the overload `add` just registered (primitives.hpp).
+  auto raw = [this](int idx, RawPrimFn fn) {
+    prims_[static_cast<std::size_t>(idx)].raw = fn;
   };
 
   // --- output ---------------------------------------------------------------
   for (TypePtr t : {S(), I(), B(), C(), H()}) {
     add("print", {t}, U(),
-        [](EnvApi& env, const Args& a) {
+        [](EnvApi& env, Args a) {
           env.print(a[0].str());
           return Value::unit();
         },
         /*may_raise=*/false, /*cost=*/8);
     add("println", {t}, U(),
-        [](EnvApi& env, const Args& a) {
+        [](EnvApi& env, Args a) {
           env.print(a[0].str() + "\n");
           return Value::unit();
         },
@@ -120,40 +140,40 @@ Primitives::Primitives() {
   }
 
   // --- conversions / scalar helpers ------------------------------------------
-  add("intToString", {I()}, S(),
-      [](EnvApi&, const Args& a) { return Value::of_string(std::to_string(a[0].as_int())); });
-  add("hostToString", {H()}, S(),
-      [](EnvApi&, const Args& a) { return Value::of_string(a[0].as_host().str()); });
-  add("charPos", {C()}, I(), [](EnvApi&, const Args& a) {
+  pure(add("intToString", {I()}, S(),
+      [](EnvApi&, Args a) { return Value::of_string(std::to_string(a[0].as_int())); }));
+  pure(add("hostToString", {H()}, S(),
+      [](EnvApi&, Args a) { return Value::of_string(a[0].as_host().str()); }));
+  pure(add("charPos", {C()}, I(), [](EnvApi&, Args a) {
     return Value::of_int(static_cast<unsigned char>(a[0].as_char()));
-  });
-  add("ord", {C()}, I(), [](EnvApi&, const Args& a) {
+  }));
+  pure(add("ord", {C()}, I(), [](EnvApi&, Args a) {
     return Value::of_int(static_cast<unsigned char>(a[0].as_char()));
-  });
+  }));
   add(
       "chr", {I()}, C(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         std::int64_t v = a[0].as_int();
         if (v < 0 || v > 255) raise("InvalidChar");
         return Value::of_char(static_cast<char>(v));
       },
       /*may_raise=*/true);
-  add("abs", {I()}, I(), [](EnvApi&, const Args& a) {
+  pure(add("abs", {I()}, I(), [](EnvApi&, Args a) {
     std::int64_t v = a[0].as_int();
-    return Value::of_int(v < 0 ? -v : v);
-  });
-  add("min", {I(), I()}, I(), [](EnvApi&, const Args& a) {
+    return Value::of_int(v < 0 ? int_sub(0, v) : v);  // wraps like unary minus
+  }));
+  pure(add("min", {I(), I()}, I(), [](EnvApi&, Args a) {
     return Value::of_int(std::min(a[0].as_int(), a[1].as_int()));
-  });
-  add("max", {I(), I()}, I(), [](EnvApi&, const Args& a) {
+  }));
+  pure(add("max", {I(), I()}, I(), [](EnvApi&, Args a) {
     return Value::of_int(std::max(a[0].as_int(), a[1].as_int()));
-  });
-  add("stringLen", {S()}, I(), [](EnvApi&, const Args& a) {
+  }));
+  pure(add("stringLen", {S()}, I(), [](EnvApi&, Args a) {
     return Value::of_int(static_cast<std::int64_t>(a[0].as_string().size()));
-  });
+  }));
   add(
       "substring", {S(), I(), I()}, S(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         const std::string& s = a[0].as_string();
         std::int64_t from = a[1].as_int(), len = a[2].as_int();
         if (from < 0 || len < 0 || from + len > static_cast<std::int64_t>(s.size())) {
@@ -163,20 +183,20 @@ Primitives::Primitives() {
                                          static_cast<std::size_t>(len)));
       },
       /*may_raise=*/true, /*cost=*/8);
-  add("startsWith", {S(), S()}, B(), [](EnvApi&, const Args& a) {
+  pure(add("startsWith", {S(), S()}, B(), [](EnvApi&, Args a) {
     const std::string& s = a[0].as_string();
     const std::string& pre = a[1].as_string();
     return Value::of_bool(s.rfind(pre, 0) == 0);
-  });
-  add("strIndex", {S(), S()}, I(), [](EnvApi&, const Args& a) {
+  }));
+  pure(add("strIndex", {S(), S()}, I(), [](EnvApi&, Args a) {
     auto pos = a[0].as_string().find(a[1].as_string());
     return Value::of_int(pos == std::string::npos ? -1 : static_cast<std::int64_t>(pos));
-  });
+  }));
   // ASP extensions (paper §2.3: primitives added when PLAN-P moved from pure
   // routing to ASPs — protocol text parsing for the MPEG monitor).
   add(
       "strWord", {S(), I()}, S(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         const std::string& s = a[0].as_string();
         std::int64_t want = a[1].as_int();
         std::size_t pos = 0;
@@ -194,7 +214,7 @@ Primitives::Primitives() {
       /*may_raise=*/true, /*cost=*/8);
   add(
       "stringToInt", {S()}, I(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         const std::string& s = a[0].as_string();
         if (s.empty()) raise("BadNumber");
         std::size_t i = s[0] == '-' ? 1 : 0;
@@ -209,7 +229,7 @@ Primitives::Primitives() {
       /*may_raise=*/true);
   add(
       "stringToHost", {S()}, H(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         auto h = asp::net::Ipv4Addr::parse(a[0].as_string());
         if (!h) raise("BadHost");
         return Value::of_host(*h);
@@ -218,135 +238,151 @@ Primitives::Primitives() {
 
   // --- hash tables ------------------------------------------------------------
   add("mkTable", {I()}, TAB(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         return Value::of_table(std::make_shared<HashTable>(
             static_cast<std::size_t>(std::max<std::int64_t>(1, a[0].as_int()))));
       },
       /*may_raise=*/false, /*cost=*/64);
   add(
       "tableGet", {TAB(), VA()}, VB(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         auto v = a[0].as_table()->get(a[1]);
         if (!v) raise("NotFound");
         return *v;
       },
       /*may_raise=*/true, /*cost=*/4);
   add("tableSet", {TAB(), VA(), VB()}, U(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         a[0].as_table()->set(a[1], a[2]);
         return Value::unit();
       },
       /*may_raise=*/false, /*cost=*/4);
   add("tableMem", {TAB(), VA()}, B(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         return Value::of_bool(a[0].as_table()->contains(a[1]));
       },
       /*may_raise=*/false, /*cost=*/4);
   add("tableRemove", {TAB(), VA()}, U(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         a[0].as_table()->remove(a[1]);
         return Value::unit();
       },
       /*may_raise=*/false, /*cost=*/4);
-  add("tableSize", {TAB()}, I(), [](EnvApi&, const Args& a) {
+  add("tableSize", {TAB()}, I(), [](EnvApi&, Args a) {
     return Value::of_int(static_cast<std::int64_t>(a[0].as_table()->size()));
   });
   add("tableGetDefault", {TAB(), VA(), VB()}, VB(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         auto v = a[0].as_table()->get(a[1]);
         return v ? *v : a[2];
       },
       /*may_raise=*/false, /*cost=*/4);
 
   // --- IP header --------------------------------------------------------------
-  add("ipSrc", {IP()}, H(),
-      [](EnvApi&, const Args& a) { return Value::of_host(a[0].as_ip().src); });
-  add("ipDst", {IP()}, H(),
-      [](EnvApi&, const Args& a) { return Value::of_host(a[0].as_ip().dst); });
-  add("ipSrcSet", {IP(), H()}, IP(), [](EnvApi&, const Args& a) {
+  raw(add("ipSrc", {IP()}, H(),
+          [](EnvApi&, Args a) { return Value::of_host(a[0].as_ip().src); }),
+      [](EnvApi&, const Value* v, const std::int64_t*) -> std::int64_t {
+        return v[0].as_ip().src.bits();
+      });
+  raw(add("ipDst", {IP()}, H(),
+          [](EnvApi&, Args a) { return Value::of_host(a[0].as_ip().dst); }),
+      [](EnvApi&, const Value* v, const std::int64_t*) -> std::int64_t {
+        return v[0].as_ip().dst.bits();
+      });
+  add("ipSrcSet", {IP(), H()}, IP(), [](EnvApi&, Args a) {
     asp::net::IpHeader h = a[0].as_ip();
     h.src = a[1].as_host();
     return Value::of_ip(h);
   });
-  add("ipDestSet", {IP(), H()}, IP(), [](EnvApi&, const Args& a) {
+  add("ipDestSet", {IP(), H()}, IP(), [](EnvApi&, Args a) {
     asp::net::IpHeader h = a[0].as_ip();
     h.dst = a[1].as_host();
     return Value::of_ip(h);
   });
-  add("ipProto", {IP()}, I(), [](EnvApi&, const Args& a) {
+  add("ipProto", {IP()}, I(), [](EnvApi&, Args a) {
     return Value::of_int(static_cast<std::int64_t>(a[0].as_ip().proto));
   });
   add("ipTtl", {IP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_ip().ttl); });
+      [](EnvApi&, Args a) { return Value::of_int(a[0].as_ip().ttl); });
   add("ipTos", {IP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_ip().tos); });
-  add("ipTosSet", {IP(), I()}, IP(), [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) { return Value::of_int(a[0].as_ip().tos); });
+  add("ipTosSet", {IP(), I()}, IP(), [](EnvApi&, Args a) {
     asp::net::IpHeader h = a[0].as_ip();
     h.tos = static_cast<std::uint8_t>(a[1].as_int());
     return Value::of_ip(h);
   });
-  add("isMulticast", {H()}, B(), [](EnvApi&, const Args& a) {
+  pure(add("isMulticast", {H()}, B(), [](EnvApi&, Args a) {
     return Value::of_bool(a[0].as_host().is_multicast());
-  });
-  add("hostToInt", {H()}, I(), [](EnvApi&, const Args& a) {
+  }));
+  pure(add("hostToInt", {H()}, I(), [](EnvApi&, Args a) {
     return Value::of_int(a[0].as_host().bits());
-  });
+  }));
 
   // --- TCP header --------------------------------------------------------------
   add("tcpSrc", {TCP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_tcp().sport); });
+      [](EnvApi&, Args a) { return Value::of_int(a[0].as_tcp().sport); });
   add("tcpDst", {TCP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_tcp().dport); });
+      [](EnvApi&, Args a) { return Value::of_int(a[0].as_tcp().dport); });
   add("tcpSeq", {TCP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_tcp().seq); });
+      [](EnvApi&, Args a) { return Value::of_int(a[0].as_tcp().seq); });
   add("tcpAckNo", {TCP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_tcp().ack); });
-  add("tcpSrcSet", {TCP(), I()}, TCP(), [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) { return Value::of_int(a[0].as_tcp().ack); });
+  add("tcpSrcSet", {TCP(), I()}, TCP(), [](EnvApi&, Args a) {
     asp::net::TcpHeader h = a[0].as_tcp();
     h.sport = static_cast<std::uint16_t>(a[1].as_int());
     return Value::of_tcp(h);
   });
-  add("tcpDstSet", {TCP(), I()}, TCP(), [](EnvApi&, const Args& a) {
+  add("tcpDstSet", {TCP(), I()}, TCP(), [](EnvApi&, Args a) {
     asp::net::TcpHeader h = a[0].as_tcp();
     h.dport = static_cast<std::uint16_t>(a[1].as_int());
     return Value::of_tcp(h);
   });
-  add("tcpSyn", {TCP()}, B(), [](EnvApi&, const Args& a) {
+  add("tcpSyn", {TCP()}, B(), [](EnvApi&, Args a) {
     return Value::of_bool(a[0].as_tcp().has(asp::net::tcpflag::kSyn));
   });
-  add("tcpAck", {TCP()}, B(), [](EnvApi&, const Args& a) {
+  add("tcpAck", {TCP()}, B(), [](EnvApi&, Args a) {
     return Value::of_bool(a[0].as_tcp().has(asp::net::tcpflag::kAck));
   });
-  add("tcpFin", {TCP()}, B(), [](EnvApi&, const Args& a) {
+  add("tcpFin", {TCP()}, B(), [](EnvApi&, Args a) {
     return Value::of_bool(a[0].as_tcp().has(asp::net::tcpflag::kFin));
   });
-  add("tcpRst", {TCP()}, B(), [](EnvApi&, const Args& a) {
+  add("tcpRst", {TCP()}, B(), [](EnvApi&, Args a) {
     return Value::of_bool(a[0].as_tcp().has(asp::net::tcpflag::kRst));
   });
 
   // --- UDP header --------------------------------------------------------------
-  add("udpSrc", {UDP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_udp().sport); });
-  add("udpDst", {UDP()}, I(),
-      [](EnvApi&, const Args& a) { return Value::of_int(a[0].as_udp().dport); });
-  add("udpSrcSet", {UDP(), I()}, UDP(), [](EnvApi&, const Args& a) {
+  raw(add("udpSrc", {UDP()}, I(),
+          [](EnvApi&, Args a) { return Value::of_int(a[0].as_udp().sport); }),
+      [](EnvApi&, const Value* v, const std::int64_t*) -> std::int64_t {
+        return v[0].as_udp().sport;
+      });
+  raw(add("udpDst", {UDP()}, I(),
+          [](EnvApi&, Args a) { return Value::of_int(a[0].as_udp().dport); }),
+      [](EnvApi&, const Value* v, const std::int64_t*) -> std::int64_t {
+        return v[0].as_udp().dport;
+      });
+  add("udpSrcSet", {UDP(), I()}, UDP(), [](EnvApi&, Args a) {
     asp::net::UdpHeader h = a[0].as_udp();
     h.sport = static_cast<std::uint16_t>(a[1].as_int());
     return Value::of_udp(h);
   });
-  add("udpDstSet", {UDP(), I()}, UDP(), [](EnvApi&, const Args& a) {
+  add("udpDstSet", {UDP(), I()}, UDP(), [](EnvApi&, Args a) {
     asp::net::UdpHeader h = a[0].as_udp();
     h.dport = static_cast<std::uint16_t>(a[1].as_int());
     return Value::of_udp(h);
   });
 
   // --- blobs ---------------------------------------------------------------------
-  add("blobLen", {BL()}, I(), [](EnvApi&, const Args& a) {
-    return Value::of_int(static_cast<std::int64_t>(a[0].as_blob()->size()));
-  });
+  raw(pure(add("blobLen", {BL()}, I(),
+          [](EnvApi&, Args a) {
+            return Value::of_int(static_cast<std::int64_t>(a[0].as_blob()->size()));
+          })),
+      [](EnvApi&, const Value* v, const std::int64_t*) -> std::int64_t {
+        return static_cast<std::int64_t>(v[0].as_blob()->size());
+      });
   add(
       "blobByte", {BL(), I()}, I(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         const auto& b = *a[0].as_blob();
         std::int64_t i = a[1].as_int();
         if (i < 0 || i >= static_cast<std::int64_t>(b.size())) raise("OutOfBounds");
@@ -355,7 +391,7 @@ Primitives::Primitives() {
       /*may_raise=*/true);
   add(
       "blobSub", {BL(), I(), I()}, BL(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         const auto& b = *a[0].as_blob();
         std::int64_t from = a[1].as_int(), len = a[2].as_int();
         if (from < 0 || len < 0 || from + len > static_cast<std::int64_t>(b.size())) {
@@ -366,44 +402,40 @@ Primitives::Primitives() {
       },
       /*may_raise=*/true, /*cost=*/32);
   add("blobCat", {BL(), BL()}, BL(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         std::vector<std::uint8_t> out = *a[0].as_blob();
         const auto& b = *a[1].as_blob();
         out.insert(out.end(), b.begin(), b.end());
         return Value::of_blob(std::move(out));
       },
       /*may_raise=*/false, /*cost=*/32);
-  add("blobFromString", {S()}, BL(),
-      [](EnvApi&, const Args& a) {
+  pure(add("blobFromString", {S()}, BL(),
+      [](EnvApi&, Args a) {
         const std::string& s = a[0].as_string();
         return Value::of_blob(std::vector<std::uint8_t>(s.begin(), s.end()));
       },
-      /*may_raise=*/false, /*cost=*/16);
-  add("blobToString", {BL()}, S(),
-      [](EnvApi&, const Args& a) {
+      /*may_raise=*/false, /*cost=*/16));
+  pure(add("blobToString", {BL()}, S(),
+      [](EnvApi&, Args a) {
         const auto& b = *a[0].as_blob();
         return Value::of_string(std::string(b.begin(), b.end()));
       },
-      /*may_raise=*/false, /*cost=*/16);
+      /*may_raise=*/false, /*cost=*/16));
   // 64-bit little-endian field access, for binary wire formats (the scenario
   // cache profile's object ids / sequence numbers). Both are TOTAL — an
   // out-of-range offset reads 0 / writes nothing — so verified caching ASPs
   // can parse packets without a try (a raising read would cost them the
   // guaranteed-delivery verdict; see cacheGetDefault below).
-  add("blobInt", {BL(), I()}, I(),
-      [](EnvApi&, const Args& a) {
-        const auto& b = *a[0].as_blob();
-        std::int64_t off = a[1].as_int();
-        if (off < 0 || off + 8 > static_cast<std::int64_t>(b.size())) {
-          return Value::of_int(0);
-        }
-        std::uint64_t v = 0;
-        std::memcpy(&v, b.data() + off, 8);  // LE hosts only, like sample16
-        return Value::of_int(static_cast<std::int64_t>(v));
-      },
-      /*may_raise=*/false, /*cost=*/2);
+  raw(pure(add("blobInt", {BL(), I()}, I(),
+          [](EnvApi&, Args a) {
+            return Value::of_int(blob_int(*a[0].as_blob(), a[1].as_int()));
+          },
+          /*may_raise=*/false, /*cost=*/2)),
+      [](EnvApi&, const Value* v, const std::int64_t* r) {
+        return blob_int(*v[0].as_blob(), r[1]);
+      });
   add("blobPutInt", {BL(), I(), I()}, BL(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         const auto& b = *a[0].as_blob();
         std::int64_t off = a[1].as_int();
         if (off < 0 || off + 8 > static_cast<std::int64_t>(b.size())) {
@@ -422,22 +454,22 @@ Primitives::Primitives() {
 
   // --- audio transcoding (paper §3.1: degrade 16-bit stereo to 8-bit mono) ----
   add("audioStereoToMono", {BL()}, BL(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         return Value::of_blob(audio_stereo_to_mono16(*a[0].as_blob()));
       },
       /*may_raise=*/false, /*cost=*/64);
   add("audioMonoToStereo", {BL()}, BL(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         return Value::of_blob(audio_mono_to_stereo16(*a[0].as_blob()));
       },
       /*may_raise=*/false, /*cost=*/64);
   add("audio16To8", {BL()}, BL(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         return Value::of_blob(audio_16_to_8(*a[0].as_blob()));
       },
       /*may_raise=*/false, /*cost=*/64);
   add("audio8To16", {BL()}, BL(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         return Value::of_blob(audio_8_to_16(*a[0].as_blob()));
       },
       /*may_raise=*/false, /*cost=*/64);
@@ -446,7 +478,7 @@ Primitives::Primitives() {
   // support into PLAN-P" for low-bandwidth adaptation) -------------------------
   add(
       "distillImage", {BL(), I()}, BL(),
-      [](EnvApi&, const Args& a) {
+      [](EnvApi&, Args a) {
         const auto& img = *a[0].as_blob();
         std::int64_t q = a[1].as_int();
         if (q < 1 || q > 16) raise("BadQuality");
@@ -465,28 +497,36 @@ Primitives::Primitives() {
   // aliased into the node's CacheStore, so a fill pins the packet's pooled
   // payload buffer and an eviction releases it — no copies on either side.
   add("cacheConfigure", {I(), I()}, U(),
-      [](EnvApi& env, const Args& a) {
+      [](EnvApi& env, Args a) {
         env.cache().configure(
             static_cast<std::size_t>(std::max<std::int64_t>(1, a[0].as_int())),
             a[1].as_int());
         return Value::unit();
       },
       /*may_raise=*/false, /*cost=*/64);
-  add("cacheKey", {S(), H(), S()}, I(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_int(static_cast<std::int64_t>(CacheStore::key_of(
-            a[0].as_string(), a[1].as_host().bits(), a[2].as_string())));
-      },
-      /*may_raise=*/false, /*cost=*/8);
-  add("cacheKey", {I(), H()}, I(),
-      [](EnvApi&, const Args& a) {
-        return Value::of_int(static_cast<std::int64_t>(CacheStore::key_of(
-            static_cast<std::uint64_t>(a[0].as_int()), a[1].as_host().bits())));
-      },
-      /*may_raise=*/false, /*cost=*/2);
+  raw(add("cacheKey", {S(), H(), S()}, I(),
+          [](EnvApi&, Args a) {
+            return Value::of_int(static_cast<std::int64_t>(CacheStore::key_of(
+                a[0].as_string(), a[1].as_host().bits(), a[2].as_string())));
+          },
+          /*may_raise=*/false, /*cost=*/8),
+      [](EnvApi&, const Value* v, const std::int64_t* r) {
+        return static_cast<std::int64_t>(CacheStore::key_of(
+            v[0].as_string(), static_cast<std::uint32_t>(r[1]), v[2].as_string()));
+      });
+  raw(add("cacheKey", {I(), H()}, I(),
+          [](EnvApi&, Args a) {
+            return Value::of_int(static_cast<std::int64_t>(CacheStore::key_of(
+                static_cast<std::uint64_t>(a[0].as_int()), a[1].as_host().bits())));
+          },
+          /*may_raise=*/false, /*cost=*/2),
+      [](EnvApi&, const Value*, const std::int64_t* r) {
+        return static_cast<std::int64_t>(CacheStore::key_of(
+            static_cast<std::uint64_t>(r[0]), static_cast<std::uint32_t>(r[1])));
+      });
   add(
       "cacheLookup", {I()}, BL(),
-      [](EnvApi& env, const Args& a) {
+      [](EnvApi& env, Args a) {
         const net::Buffer* b = env.cache().lookup(
             static_cast<std::uint64_t>(a[0].as_int()), env.time_ms());
         if (b == nullptr) raise("CacheMiss");
@@ -498,41 +538,42 @@ Primitives::Primitives() {
   // handler either re-sends (breaking the duplication analysis, which sums a
   // try's body and handler) or drops (breaking guaranteed delivery).
   add("cacheGetDefault", {I(), BL()}, BL(),
-      [](EnvApi& env, const Args& a) {
+      [](EnvApi& env, Args a) {
         const net::Buffer* b = env.cache().lookup(
             static_cast<std::uint64_t>(a[0].as_int()), env.time_ms());
         return b == nullptr ? a[1] : Value::of_blob_shared(*b);
       },
       /*may_raise=*/false, /*cost=*/8);
   add("cacheStore", {I(), BL()}, U(),
-      [](EnvApi& env, const Args& a) {
+      [](EnvApi& env, Args a) {
         env.cache().store(static_cast<std::uint64_t>(a[0].as_int()),
                           a[1].as_blob(), env.time_ms());
         return Value::unit();
       },
       /*may_raise=*/false, /*cost=*/8);
   add("cacheHas", {I()}, B(),
-      [](EnvApi& env, const Args& a) {
+      [](EnvApi& env, Args a) {
         return Value::of_bool(env.cache().contains(
             static_cast<std::uint64_t>(a[0].as_int()), env.time_ms()));
       },
       /*may_raise=*/false, /*cost=*/4);
-  add("cacheSize", {}, I(), [](EnvApi& env, const Args&) {
+  add("cacheSize", {}, I(), [](EnvApi& env, Args) {
     return Value::of_int(static_cast<std::int64_t>(env.cache().size()));
   });
 
   // --- environment ------------------------------------------------------------
   add("thisHost", {}, H(),
-      [](EnvApi& env, const Args&) { return Value::of_host(env.this_host()); });
+      [](EnvApi& env, Args) { return Value::of_host(env.this_host()); });
   add("getTime", {}, I(),
-      [](EnvApi& env, const Args&) { return Value::of_int(env.time_ms()); });
+      [](EnvApi& env, Args) { return Value::of_int(env.time_ms()); });
   add("linkLoad", {}, I(),
-      [](EnvApi& env, const Args&) { return Value::of_int(env.link_load_percent()); });
-  add("linkBandwidth", {}, I(), [](EnvApi& env, const Args&) {
+      [](EnvApi& env, Args) { return Value::of_int(env.link_load_percent()); });
+  add("linkBandwidth", {}, I(), [](EnvApi& env, Args) {
     return Value::of_int(env.link_bandwidth_kbps());
   });
   add("arrivalIface", {}, I(),
-      [](EnvApi& env, const Args&) { return Value::of_int(env.arrival_iface()); });
+      [](EnvApi& env, Args) { return Value::of_int(env.arrival_iface()); });
+
 }
 
 const Primitives& Primitives::instance() {

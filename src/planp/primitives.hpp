@@ -7,8 +7,8 @@
 // signature (with type variables resolved by unification in the checker).
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,9 +55,9 @@ class EnvApi {
   virtual void deliver(const Value& packet) = 0;
   virtual void drop() = 0;
 
-  // Interned-id sends: the compiled engines (VM, JIT) resolve the channel
-  // name to a net::ChannelTags id once at compile/specialization time and
-  // emit through these, so the per-packet path never hashes a std::string.
+  // Interned-id sends: the JIT resolves the channel name to a
+  // net::ChannelTags id once at specialization time and emits through
+  // these, so the per-packet path never hashes a std::string.
   // The defaults round-trip through the string API for environments that
   // only implement that (tests, NullEnv); the ASP runtime overrides them.
   virtual void on_remote(std::uint32_t chan_tag, const Value& packet) {
@@ -106,16 +106,35 @@ class NullEnv : public EnvApi {
   int drops = 0;
 };
 
+/// The calling convention every engine uses: a plain function over the
+/// arguments where they already are. The interpreter passes the callee
+/// frame's staged argument vector; the JIT passes a window of its frame (or
+/// a single operand in place), so a call copies no argument.
+using PrimFn = Value (*)(EnvApi&, std::span<const Value> args);
+
+/// Optional raw-scalar entry for the per-packet accessors. Argument i is
+/// boxed[i] if its type is boxed and raw[i] if it is a scalar (int, bool,
+/// char, host — see jit.hpp for the encoding); the result is the raw scalar
+/// the declared return type encodes to. Must agree with `fn`: the
+/// interpreter only ever calls `fn`, and the differential tests compare.
+using RawPrimFn = std::int64_t (*)(EnvApi&, const Value* boxed,
+                                   const std::int64_t* raw);
+
 /// One primitive overload.
 struct Primitive {
   std::string name;
   std::vector<TypePtr> params;  // may contain Type::Var(n)
   TypePtr ret;
   bool may_raise = false;  // used by the guaranteed-delivery analysis
-  std::function<Value(EnvApi&, const std::vector<Value>&)> fn;
+  PrimFn fn = nullptr;
   /// Abstract work units charged by the bounded-cost analysis (analysis.cpp):
   /// 1 for scalar ops, more for ops that touch whole payloads or state.
   int cost = 1;
+  RawPrimFn raw = nullptr;  // set only for scalar-returning accessors
+  /// No effect, no environment access, never raises, and the result is a
+  /// fresh immutable value: the JIT evaluates a call whose arguments are all
+  /// constants once, at specialization time.
+  bool pure = false;
 };
 
 /// The global primitive table. Indices are stable: Expr::call_target holds one.

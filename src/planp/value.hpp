@@ -134,6 +134,12 @@ class Value {
   }
   std::size_t tuple_size() const;
   Value tuple_at(std::size_t i) const;
+  /// Element i of a pooled tuple, in place; null for an inline ScalarPair
+  /// (whose elements tuple_at builds on demand).
+  const Value* tuple_elem(std::size_t i) const {
+    const auto* t = std::get_if<TupleRep>(&rep_);
+    return t != nullptr ? &(**t)[i] : nullptr;
+  }
 
   /// Structural equality for equality types; identity for tables.
   bool equals(const Value& o) const;
@@ -190,5 +196,29 @@ class HashTable {
 
 /// Deep default value for a type (used for channels without initstate).
 Value default_value(const TypePtr& t);
+
+// PLAN-P int arithmetic, shared by both engines: 64-bit two's complement
+// that wraps on overflow (defined behaviour, so both engines agree and the
+// sanitizers stay quiet); / and % raise DivByZero.
+inline std::int64_t int_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t int_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t int_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t int_div(std::int64_t a, std::int64_t b) {
+  if (b == 0) throw PlanPException{"DivByZero"};
+  return b == -1 ? int_sub(0, a) : a / b;
+}
+inline std::int64_t int_mod(std::int64_t a, std::int64_t b) {
+  if (b == 0) throw PlanPException{"DivByZero"};
+  return b == -1 ? 0 : a % b;
+}
 
 }  // namespace asp::planp

@@ -103,8 +103,6 @@ void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
     }
     if (engine == "interp") {
       s->engine = planp::EngineKind::kInterp;
-    } else if (engine == "bytecode") {
-      s->engine = planp::EngineKind::kBytecode;
     } else if (engine == "jit") {
       s->engine = planp::EngineKind::kJit;
     } else {
@@ -318,9 +316,7 @@ void start_attempt(const std::shared_ptr<DeployJob>& job) {
 
 void Deployer::deploy(asp::net::Ipv4Addr target, const std::string& source,
                       Callback cb, Options opts) {
-  const char* engine = opts.engine == planp::EngineKind::kInterp     ? "interp"
-                       : opts.engine == planp::EngineKind::kBytecode ? "bytecode"
-                                                                     : "jit";
+  const char* engine = opts.engine == planp::EngineKind::kInterp ? "interp" : "jit";
   auto job = std::make_shared<DeployJob>();
   job->node = &node_;
   job->target = target;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <string>
+#include <vector>
 
 namespace asp::obs {
 namespace {
@@ -134,21 +136,48 @@ TEST(Histogram, ExactStatsAlongsideBuckets) {
 }
 
 TEST(Histogram, QuantilesOnUniformDistribution) {
-  // 1..1000 uniformly: log2 buckets with in-bucket linear interpolation and
-  // min/max clamping land within a few percent of the true quantile.
+  // 1..1000 uniformly: buckets at most 1/16 of an octave wide, with
+  // in-bucket linear interpolation and min/max clamping, land within 1% of
+  // the true quantile.
   Histogram h;
   for (int v = 1; v <= 1000; ++v) h.observe(v);
-  EXPECT_NEAR(h.quantile(0.50), 500.0, 25.0);
-  EXPECT_NEAR(h.quantile(0.90), 900.0, 45.0);
-  EXPECT_NEAR(h.quantile(0.99), 990.0, 50.0);
+  EXPECT_NEAR(h.quantile(0.50), 500.0, 5.0);
+  EXPECT_NEAR(h.quantile(0.90), 900.0, 9.0);
+  EXPECT_NEAR(h.quantile(0.99), 990.0, 9.9);
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(h.quantile(1.0), 1000.0);
+}
+
+TEST(Histogram, SubMicrosecondSpreadSeparatesP50FromP99) {
+  // A per-packet handler cost in microseconds: 98 packets between 0.3 and
+  // 0.5 us, two slow ones at 1.5 us. All of it lies below 2 us, where the
+  // buckets are 1/16 us wide, so p50 and p99 land in different buckets.
+  Histogram h;
+  for (int i = 0; i < 98; ++i) h.observe(0.3 + 0.2 * i / 97.0);
+  h.observe(1.5);
+  h.observe(1.5);
+  EXPECT_NEAR(h.quantile(0.50), 0.4, 0.0625);
+  EXPECT_GT(h.quantile(0.99), 1.0);
+  EXPECT_NE(h.quantile(0.50), h.quantile(0.99));
+}
+
+TEST(Histogram, QuantileErrorBoundedAcrossOctaves) {
+  // Geometric spread over six decades: each estimated quantile is within
+  // one bucket (6.25% of the value above 2) of the exact order statistic.
+  Histogram h;
+  std::vector<double> values;
+  for (int i = 0; i < 600; ++i) values.push_back(std::pow(10.0, i / 100.0));
+  for (double v : values) h.observe(v);
+  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
+    double exact = values[static_cast<std::size_t>(q * values.size()) - 1];
+    EXPECT_NEAR(h.quantile(q), exact, exact * 0.0625) << "q=" << q;
+  }
 }
 
 TEST(Histogram, QuantilesOnConstantDistribution) {
   Histogram h;
   for (int i = 0; i < 100; ++i) h.observe(42.0);
-  // Every observation sits in bucket (32, 64]; clamping the interpolation to
+  // Every observation sits in bucket [42, 44); clamping the interpolation to
   // the observed range makes the estimate exact.
   EXPECT_DOUBLE_EQ(h.quantile(0.50), 42.0);
   EXPECT_DOUBLE_EQ(h.quantile(0.99), 42.0);
@@ -156,15 +185,15 @@ TEST(Histogram, QuantilesOnConstantDistribution) {
 
 TEST(Histogram, QuantilesOnBimodalDistribution) {
   Histogram h;
-  for (int i = 0; i < 90; ++i) h.observe(3.0);    // bucket (2,4]
-  for (int i = 0; i < 10; ++i) h.observe(900.0);  // bucket (512,1024]
+  for (int i = 0; i < 90; ++i) h.observe(3.0);    // bucket [3, 3.125)
+  for (int i = 0; i < 10; ++i) h.observe(900.0);  // bucket [896, 928)
   double p50 = h.quantile(0.50);
-  EXPECT_GE(p50, 2.0);
-  EXPECT_LE(p50, 4.0);
+  EXPECT_GE(p50, 3.0);
+  EXPECT_LT(p50, 3.125);
   // p99 interpolates inside the upper mode's bucket: bounded below by the
   // bucket floor and above by the observed max.
   double p99 = h.quantile(0.99);
-  EXPECT_GE(p99, 512.0);
+  EXPECT_GE(p99, 896.0);
   EXPECT_LE(p99, 900.0);
   EXPECT_DOUBLE_EQ(h.quantile(1.0), 900.0);  // clamped to max
 }
@@ -177,17 +206,34 @@ TEST(Histogram, EdgeValues) {
   EXPECT_EQ(h.count(), 3u);
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 1.0);
-  EXPECT_EQ(h.buckets()[0], 3u);  // bucket 0 covers [0, 1]
+  EXPECT_EQ(h.buckets()[0], 2u);   // bucket 0 covers [0, 1/16)
+  EXPECT_EQ(h.buckets()[16], 1u);  // [1, 17/16)
+  h.observe(1e300);                // past the range: the last bucket
+  EXPECT_EQ(h.buckets()[Histogram::kBuckets - 1], 1u);
 }
 
 TEST(Histogram, BucketBoundaries) {
-  Histogram h;
-  h.observe(2.0);  // boundary: belongs to (1,2]
-  h.observe(2.5);  // (2,4]
-  EXPECT_EQ(h.buckets()[1], 1u);
-  EXPECT_EQ(h.buckets()[2], 1u);
-  EXPECT_DOUBLE_EQ(Histogram::bucket_upper_bound(0), 1.0);
-  EXPECT_DOUBLE_EQ(Histogram::bucket_upper_bound(10), 1024.0);
+  // Linear below 2 (width 1/16), then 16 buckets per octave.
+  EXPECT_DOUBLE_EQ(Histogram::bucket_lower_bound(0), 0.0);
+  EXPECT_DOUBLE_EQ(Histogram::bucket_upper_bound(0), 0.0625);
+  EXPECT_DOUBLE_EQ(Histogram::bucket_lower_bound(32), 2.0);
+  EXPECT_DOUBLE_EQ(Histogram::bucket_upper_bound(32), 2.125);
+  EXPECT_DOUBLE_EQ(Histogram::bucket_lower_bound(48), 4.0);
+  EXPECT_DOUBLE_EQ(Histogram::bucket_upper_bound(47), 4.0);
+  EXPECT_EQ(Histogram::bucket_of(2.0), 32);      // lower bounds are inclusive
+  EXPECT_EQ(Histogram::bucket_of(2.124), 32);
+  EXPECT_EQ(Histogram::bucket_of(2.125), 33);    // upper bounds exclusive
+  EXPECT_EQ(Histogram::bucket_of(1024.0), 32 + 9 * 16);  // octave 2^14 ticks
+  // Every bucket is contiguous with the next and no wider than 1/16 of its
+  // lower bound once past the linear range.
+  for (int i = 0; i + 1 < Histogram::kBuckets; ++i) {
+    ASSERT_DOUBLE_EQ(Histogram::bucket_upper_bound(i), Histogram::bucket_lower_bound(i + 1));
+    double lo = Histogram::bucket_lower_bound(i), hi = Histogram::bucket_upper_bound(i);
+    ASSERT_EQ(Histogram::bucket_of(lo), i);
+    if (i >= Histogram::kLinear) {
+      ASSERT_LE(hi - lo, lo / 16.0) << i;
+    }
+  }
 }
 
 TEST(Registry, SameNameSameInstrument) {

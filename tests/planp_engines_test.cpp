@@ -1,6 +1,6 @@
 // Cross-engine semantics: the interpreter is the reference implementation;
-// the bytecode VM and the run-time-specialized JIT must agree with it on
-// results, state updates, emitted packets and raised exceptions. This mirrors
+// the run-time-specialized JIT must agree with it on results, state
+// updates, emitted packets and raised exceptions. This mirrors
 // the paper's claim that the JIT is *derived from* the interpreter and
 // preserves its semantics.
 #include <gtest/gtest.h>
@@ -14,15 +14,11 @@
 namespace asp::planp {
 namespace {
 
-enum class Which { kInterp, kVm, kJit };
+// Fixed values: they appear in the instantiated test names.
+enum class Which { kInterp = 0, kJit = 2 };
 
 std::string which_name(Which w) {
-  switch (w) {
-    case Which::kInterp: return "interp";
-    case Which::kVm: return "vm";
-    case Which::kJit: return "jit";
-  }
-  return "?";
+  return w == Which::kInterp ? "interp" : "jit";
 }
 
 struct Loaded {
@@ -39,10 +35,6 @@ Loaded load(const std::string& src, Which w) {
   switch (w) {
     case Which::kInterp:
       l.engine = std::make_unique<Interp>(l.checked, *l.env);
-      break;
-    case Which::kVm:
-      l.compiled = compile(l.checked);
-      l.engine = std::make_unique<VmEngine>(l.compiled, *l.env);
       break;
     case Which::kJit:
       l.compiled = compile(l.checked);
@@ -225,13 +217,13 @@ channel c(ps : unit, ss : unit, p : ip*tcp*char*int) is
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSuite,
-                         ::testing::Values(Which::kInterp, Which::kVm, Which::kJit),
+                         ::testing::Values(Which::kInterp, Which::kJit),
                          [](const ::testing::TestParamInfo<Which>& info) {
                            return which_name(info.param);
                          });
 
 // ---------------------------------------------------------------------------
-// Exhaustive differential sweep: many small expressions, three engines, one
+// Exhaustive differential sweep: many small expressions, both engines, one
 // packet matrix — results must be bit-identical across engines.
 // ---------------------------------------------------------------------------
 
@@ -245,7 +237,7 @@ TEST_P(DifferentialSweep, EnginesAgree) {
 
   std::vector<Value> results;
   std::vector<std::string> outputs;
-  for (Which w : {Which::kInterp, Which::kVm, Which::kJit}) {
+  for (Which w : {Which::kInterp, Which::kJit}) {
     Loaded l = load(src, w);
     Value acc = Value::of_int(0);
     for (int ps = -3; ps <= 3; ++ps) {
@@ -258,11 +250,8 @@ TEST_P(DifferentialSweep, EnginesAgree) {
     outputs.push_back(l.env->output);
   }
   EXPECT_TRUE(results[0].equals(results[1]))
-      << "interp=" << results[0].str() << " vm=" << results[1].str();
-  EXPECT_TRUE(results[0].equals(results[2]))
-      << "interp=" << results[0].str() << " jit=" << results[2].str();
+      << "interp=" << results[0].str() << " jit=" << results[1].str();
   EXPECT_EQ(outputs[0], outputs[1]);
-  EXPECT_EQ(outputs[0], outputs[2]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -281,7 +270,16 @@ INSTANTIATE_TEST_SUITE_P(
         "(try raise \"X\" with 5) + ps",
         "if tcpDst(#2 p) = 80 then ps + blobLen(#3 p) else raise \"NoMatch\"",
         "#1 (ps + 1, ps + 2) * #2 (ps + 3, ps + 4)",
-        "(if ps % 2 = 0 then min(ps, 0) else max(ps, 0)) - (ps - 1)"));
+        "(if ps % 2 = 0 then min(ps, 0) else max(ps, 0)) - (ps - 1)",
+        "blobLen(blobFromString(\"abc\")) + ps * blobLen(#3 p)",
+        // int arithmetic wraps (value.hpp), including min-int / -1
+        "((ps + 9223372036854775807) / -1 + ps * 4611686018427387904) % 1000",
+        // boxed compares and concatenation beside raw char compares
+        "(if intToString(ps) < \"1\" then 1 else 0) + "
+        "(if intToString(ps) ^ \"x\" = \"1x\" then 2 else 0) + "
+        "(if chr(ps + 70) < 'D' then 4 else 0)",
+        // abs of min-int wraps like unary minus
+        "abs(ps - 9223372036854775807 - 2) % 7"));
 
 }  // namespace
 }  // namespace asp::planp

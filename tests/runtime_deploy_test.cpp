@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 
@@ -50,6 +52,12 @@ struct DeployRig {
 const char* kGoodAsp =
     "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n"
     "  (OnRemote(network, p); (ps + 1, ss))";
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
 
 TEST(Deploy, InstallsVerifiedProtocolRemotely) {
   DeployRig rig;
@@ -168,6 +176,26 @@ TEST(Deploy, UnversionedLegacyHeaderIsRefused) {
   rig.net.run_until(rig.net.now() + seconds(2));
   EXPECT_EQ(reply.rfind("ERR bad-version", 0), 0u) << reply;
   EXPECT_FALSE(rig.rt->installed());
+}
+
+TEST(Deploy, RetiredBytecodeEngineIsRefused) {
+  // Bytecode is only the JIT's input, not an engine: a header asking for it
+  // gets the bad-engine error, not a silent JIT.
+  DeployRig rig;
+  std::string body(kGoodAsp);
+  std::string reply;
+  auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
+  conn->on_established([&] {
+    conn->send("DEPLOY/1 bytecode 0 " + std::to_string(body.size()) + " " +
+               hex64(deploy_checksum(body)) + "\n" + body);
+  });
+  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+    reply.append(d.begin(), d.end());
+  });
+  rig.net.run_until(rig.net.now() + seconds(2));
+  EXPECT_EQ(reply.rfind("ERR bad-engine bytecode", 0), 0u) << reply;
+  EXPECT_FALSE(rig.rt->installed());
+  EXPECT_EQ(rig.server->rejections(), 1);
 }
 
 TEST(Deploy, ReplyParserHandlesAllShapes) {

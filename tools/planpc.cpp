@@ -128,9 +128,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < compiled.channel_bodies.size(); ++i) {
         std::printf("channel %s (%s):\n", checked.channels[i]->name.c_str(),
                     checked.channels[i]->packet_type->str().c_str());
-        std::fputs(disassemble(specialize_block(compiled.channel_bodies[i], compiled))
-                       .c_str(),
-                   stdout);
+        std::fputs(disassemble(jit.channel_block(static_cast<int>(i))).c_str(), stdout);
       }
       return 0;
     }
