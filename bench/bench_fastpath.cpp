@@ -122,8 +122,8 @@ struct Fixture {
   runtime::AspRuntime rt;
 
   explicit Fixture(planp::EngineKind engine, const std::string& source = kProtocol,
-                   bool require_verified = true)
-      : node(network.add_node("bench")), rt(node) {
+                   bool require_verified = true, const std::string& name = "bench")
+      : node(network.add_node(name)), rt(node) {
     node.add_interface(net::ip("10.0.0.2"));
     planp::Protocol::Options opts;
     opts.engine = engine;
@@ -313,11 +313,14 @@ void export_shard_gauges(const std::vector<int>& shard_points) {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(k));
     for (int i = 0; i < k; ++i) {
-      threads.emplace_back([&] {
+      threads.emplace_back([&, i] {
         // Bind to the lowest free pool set (main holds shard 0, so the k
         // workers land on 1..k) and keep every pool touch shard-local.
         mem::bind_shard(-1);
-        Fixture f(planp::EngineKind::kJit);
+        // A node name of its own: the thread's node/<name>/asp/* counters
+        // are not shared with the other threads.
+        Fixture f(planp::EngineKind::kJit, kProtocol, true,
+                  "bench_s" + std::to_string(k) + "_t" + std::to_string(i));
         net::Packet tagged = tagged_packet();
         measure_pps(f.rt, tagged, kWarmPackets);  // warm pools + freelists
         warmed.arrive_and_wait();

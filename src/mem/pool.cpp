@@ -127,6 +127,7 @@ SlabPool::~SlabPool() { purge_free(); }
 
 void* SlabPool::allocate(std::size_t bytes) {
   if (bytes == 0) bytes = 1;
+  MaybeLock lk(lock_if());  // the orphan's stats are single-writer under it
   if (bytes > kMaxBlock) {
     // Oversized requests bypass the chunks entirely; freed by size check in
     // deallocate() before any chunk masking.
@@ -134,7 +135,6 @@ void* SlabPool::allocate(std::size_t bytes) {
     ++stats_.live;
     return ::operator new(bytes);
   }
-  MaybeLock lk(lock_if());
   if (locked_) ++stats_.spills;
   const int c = class_of(bytes);
   ClassDir& d = dirs_[c];

@@ -6,10 +6,11 @@
 // per-packet object through freelists sized at install time. PR 4 built the
 // pools; this layer makes them scale: every pool instance is owned by exactly
 // ONE shard (mem/shard.hpp binds a shard to a thread), so the steady-state
-// alloc/free path is plain single-threaded code — no locks, no atomics except
-// relaxed stat counters — and cross-shard frees ride a lock-free MPSC
-// remote-free channel drained by the owner at window barriers, exactly how
-// cross-shard frames already flow through net/mailbox.hpp.
+// alloc/free path is plain single-threaded code — no locks, and no atomic
+// read-modify-write but the `live` count — and cross-shard frees ride a
+// lock-free MPSC remote-free channel drained by the owner at window
+// barriers, exactly how cross-shard frames already flow through
+// net/mailbox.hpp.
 //
 //   SlabPool          size-classed raw blocks carved from 64 KiB-aligned
 //                     chunks; a hierarchical binmap (mem/binmap.hpp) per class
@@ -45,8 +46,8 @@
 // every orphan acquisition is counted in `spills`, and benches assert the
 // counter stays 0 in steady state.
 //
-// Pool statistics are relaxed atomics (obs::RelaxedU64): exact totals at
-// barriers, no synchronization on the hot path.
+// Pool statistics are exact at barriers and never synchronize the hot path:
+// see PoolStats for which cells are single-writer and which atomic.
 #pragma once
 
 #include <algorithm>
@@ -125,18 +126,20 @@ SlabPool& current_slab();
 /// Counters every pool keeps internally (own cells, not obs instruments:
 /// recycling deleters may run during static destruction, after the metrics
 /// registry is gone). publish_metrics() snapshots them into obs::registry().
-/// The cells are relaxed atomics — remote frees bump the HOME pool's stats
-/// from foreign threads; every update is a commutative add, so totals are
-/// exact at window barriers.
+/// Only the owning thread touches a pool's freelists (the orphan instance:
+/// whoever holds its lock), so the cells it alone writes are single-writer —
+/// a plain load and store. The two that foreign threads also write stay
+/// relaxed atomics: a remote free decrements the HOME pool's `live` and bumps
+/// its `remote_freed`. Totals are exact at window barriers.
 struct PoolStats {
-  obs::RelaxedU64 hits;            // acquisitions served from a freelist
-  obs::RelaxedU64 misses;          // acquisitions that hit operator new
-  obs::RelaxedU64 recycled;        // objects returned to a freelist
-  obs::RelaxedU64 recycled_bytes;  // capacity of recycled byte storage
-  obs::RelaxedU64 live;            // currently checked-out objects
-  obs::RelaxedU64 remote_freed;    // frees pushed onto the remote channel
-  obs::RelaxedU64 remote_drained;  // remote frees reclaimed by the owner
-  obs::RelaxedU64 spills;          // locked orphan-path operations (0 steady)
+  obs::SingleWriterU64 hits;            // acquisitions served from a freelist
+  obs::SingleWriterU64 misses;          // acquisitions that hit operator new
+  obs::SingleWriterU64 recycled;        // objects returned to a freelist
+  obs::SingleWriterU64 recycled_bytes;  // capacity of recycled byte storage
+  obs::RelaxedU64 live;                 // currently checked-out objects
+  obs::RelaxedU64 remote_freed;         // frees pushed onto the remote channel
+  obs::SingleWriterU64 remote_drained;  // remote frees reclaimed by the owner
+  obs::SingleWriterU64 spills;          // locked orphan-path operations (0 steady)
 
   /// Test hook: zeroes every counter except `live` (which tracks real
   /// checked-out objects and must stay truthful across resets).
@@ -660,6 +663,7 @@ class BoxPool : public PoolBase {
   }
 
   Node* fresh() {
+    MaybeLock lk(lock_if());  // the orphan's stats are single-writer under it
     ScopedAllocTag tag(tag_);
     ++stats_.misses;
     Node* n = new Node;

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <mutex>
 
+#include "obs/metrics.hpp"
+
 namespace asp::mem {
 
 // --- slot factory registry ----------------------------------------------------
@@ -146,6 +148,7 @@ void release_id(ShardPools* sp) {
 struct Binder {
   ShardPools* pools = nullptr;
   ~Binder() {
+    obs::bind_counter_cell(-1);  // before the id can pass to another thread
     if (pools != nullptr) {
       pools->drain_remote();
       release_id(pools);
@@ -166,6 +169,7 @@ void bind_shard(int preferred_id) {
       return;
     }
     // Rebind to a specific id: hand the old instance back first.
+    obs::bind_counter_cell(-1);
     binder.pools->drain_remote();
     release_id(binder.pools);
     binder.pools = nullptr;
@@ -173,6 +177,9 @@ void bind_shard(int preferred_id) {
   }
   binder.pools = acquire_id(preferred_id);
   t_shard = binder.pools;
+  // The shard id doubles as the thread's obs::Counter cell: ids are held
+  // exclusively and reused, so cells are too.
+  obs::bind_counter_cell(binder.pools->id());
 }
 
 ShardPools& shard() {

@@ -19,12 +19,13 @@ void Interface::note_tx(std::size_t bytes) {
 }
 
 Medium::Medium(EventQueue& events, std::string name, double bits_per_sec,
-               SimTime delay, std::uint64_t queue_capacity_bytes)
+               SimTime delay, std::uint64_t queue_capacity_bytes, int meter_count)
     : events_(&events),
       name_(std::move(name)),
       bandwidth_bps_(bits_per_sec),
       delay_(delay),
-      queue_capacity_(queue_capacity_bytes) {
+      queue_capacity_(queue_capacity_bytes),
+      meter_count_(meter_count) {
   obs::MetricsRegistry& reg = obs::registry();
   // Coarse mode (scenario-scale topologies): one aggregate instrument set —
   // see obs::instance_metrics_enabled().
@@ -71,9 +72,20 @@ void Medium::apply_corruption(Packet& p) {
   m_corrupted_->inc();
 }
 
-double PointToPointLink::utilization() {
+void Medium::arm_meter() {
+  if (meters_ != nullptr) return;
+  constexpr SimTime w = kMeterWindow;
+  meters_.reset(meter_count_ == 1
+                    ? new BandwidthMeter[1]{BandwidthMeter{w}}
+                    : new BandwidthMeter[2]{BandwidthMeter{w}, BandwidthMeter{w}});
+}
+
+double Medium::utilization() {
+  arm_meter();
   SimTime now = events_->now();
-  return (dir_meter_[0].rate_bps(now) + dir_meter_[1].rate_bps(now)) / bandwidth_bps_;
+  double bps = 0;
+  for (int i = 0; i < meter_count_; ++i) bps += meters_[i].rate_bps(now);
+  return bps / bandwidth_bps_;
 }
 
 void PointToPointLink::deliver_arrival(int end, Packet&& p) {
@@ -81,7 +93,7 @@ void PointToPointLink::deliver_arrival(int end, Packet&& p) {
     count_drop_down();
     return;
   }
-  note_delivered(p);
+  note_delivered(end, p);
   Interface& in = *ends_[end];
   in.node()->receive(std::move(p), in);
 }
@@ -137,7 +149,7 @@ void PointToPointLink::transmit(Interface& from, Packet p) {
   busy_until_[dir] = start + serialize;
   std::size_t bytes = p.wire_size();
   from.note_tx(bytes);
-  dir_meter_[dir].record(now, bytes);
+  meter_record(dir, now, bytes);
   // A lost frame still occupied the wire and counted toward the direction
   // meter: the sender offered the load whether or not it arrived.
   FramePlan plan = plan_frame();
@@ -181,7 +193,7 @@ void EthernetSegment::transmit(Interface& from, Packet p) {
   busy_until_ = start + serialize;
   std::size_t bytes = p.wire_size();
   from.note_tx(bytes);
-  meter_.record(now, bytes);
+  meter_record(0, now, bytes);
   FramePlan plan = plan_frame();
   if (plan.lost) {
     count_drop_loss();
@@ -218,11 +230,11 @@ void EthernetSegment::deliver(std::uint32_t from_slot, Packet&& p) {
   // Fan-out discipline: every receiver but the last gets a COW copy (aliasing
   // the one payload buffer); the final receiver gets the packet moved in.
   auto hand_copy = [&](Interface* iface) {
-    note_delivered(p);
+    note_delivered(0, p);
     iface->node()->receive(p, *iface);
   };
   auto hand_last = [&](Interface* iface) {
-    note_delivered(p);
+    note_delivered(0, p);
     iface->node()->receive(std::move(p), *iface);
   };
 

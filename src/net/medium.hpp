@@ -6,9 +6,10 @@
 // impairments (the RNG draw order must stay serial). The only object touched
 // from two shards is a CUT point-to-point link: each direction's transmit
 // runs on its sender's thread (own busy_until_ slot and direction meter) and
-// hands the frame to the receiving shard through a mailbox poster. The
-// members shared across a cut — link_up_, delivered/drop counters — are
-// relaxed atomics; everything else stays shard-confined.
+// hands the frame to the receiving shard through a mailbox poster. Of the
+// members shared across a cut, link_up_ and the drop counters are relaxed
+// atomics and the delivered counts keep one single-writer cell per receiving
+// end; everything else stays shard-confined.
 #pragma once
 
 #include <atomic>
@@ -85,8 +86,10 @@ class Interface {
 /// Base class for transmission media.
 class Medium {
  public:
+  /// `meter_count`: how many bandwidth meters arming allocates (one per
+  /// sending direction of a link, one aggregate for a segment).
   Medium(EventQueue& events, std::string name, double bits_per_sec, SimTime delay,
-         std::uint64_t queue_capacity_bytes);
+         std::uint64_t queue_capacity_bytes, int meter_count);
   virtual ~Medium() = default;
 
   Medium(const Medium&) = delete;
@@ -113,9 +116,14 @@ class Medium {
   double bandwidth_bps() const { return bandwidth_bps_; }
   SimTime delay() const { return delay_; }
 
-  /// Delivered totals (relaxed atomics: exact at barriers / end of run).
-  std::uint64_t delivered_packets() const { return delivered_packets_.load(); }
-  std::uint64_t delivered_bytes() const { return delivered_bytes_.load(); }
+  /// Delivered totals, summed over the receiving ends' cells (exact at
+  /// barriers / end of run).
+  std::uint64_t delivered_packets() const {
+    return delivered_packets_[0] + delivered_packets_[1];
+  }
+  std::uint64_t delivered_bytes() const {
+    return delivered_bytes_[0] + delivered_bytes_[1];
+  }
 
   // --- fault injection --------------------------------------------------------
 
@@ -163,11 +171,34 @@ class Medium {
   /// Legacy aggregate: every frame that failed to reach a receiver.
   std::uint64_t dropped_packets() const { return stats_.total_dropped(); }
 
-  /// Current utilization in [0,1]: carried bits over the meter window
-  /// relative to capacity (the §3.1 linkLoad() primitive reads this).
-  /// Shard-confined: call from the medium's owning shard only (for a cut
-  /// link, barrier-only — it reads both direction meters).
-  virtual double utilization() = 0;
+  // --- bandwidth meters ---------------------------------------------------------
+  //
+  // A medium measures its carried traffic only once a reader has armed it:
+  // AspRuntime arms the medium its linkLoad() reports, so a medium nobody
+  // reads holds no meter storage and records nothing. Arming, reading and
+  // recording are shard-confined: the medium's owning shard only, and for a
+  // cut link barrier-only (its direction meters live on two shards).
+
+  /// Sliding window of every meter.
+  static constexpr SimTime kMeterWindow = kNsPerSec / 2;
+
+  /// Allocates the meters; transmits record into them from now on.
+  /// Idempotent.
+  void arm_meter();
+  bool meter_armed() const { return meters_ != nullptr; }
+
+  /// Meter `i`, armed on access: a segment's aggregate is 0, a link's
+  /// direction is its sending end.
+  BandwidthMeter& meter(int i = 0) {
+    arm_meter();
+    return meters_[i];
+  }
+
+  /// Current utilization in [0,1]: carried bits over the meter window, summed
+  /// over the medium's meters, relative to capacity (the §3.1 linkLoad()
+  /// primitive reads this). On an unarmed medium this arms the meters, so
+  /// the reading covers traffic from this call on.
+  double utilization();
 
  protected:
   /// The impairment dice for one frame, rolled in a fixed order (loss,
@@ -204,10 +235,16 @@ class Medium {
     m_drop_unaddressed_->inc();
   }
   void count_duplicated() { ++stats_.duplicated; m_duplicated_->inc(); }
-  void note_delivered(const Packet& p) {
-    ++delivered_packets_;
-    delivered_bytes_ += p.wire_size();
+  /// Counts a frame handed to receiving end `end` (a segment's receivers all
+  /// live on its one shard and share end 0).
+  void note_delivered(int end, const Packet& p) {
+    ++delivered_packets_[end];
+    delivered_bytes_[end] += p.wire_size();
     m_delivered_->inc();
+  }
+  /// Records carried bytes into meter `i` if the medium is armed.
+  void meter_record(int i, SimTime now, std::size_t bytes) {
+    if (meters_ != nullptr) meters_[i].record(now, bytes);
   }
 
   EventQueue* events_;  // owning shard's queue (rebindable, never null)
@@ -215,12 +252,15 @@ class Medium {
   double bandwidth_bps_;
   SimTime delay_;
   std::uint64_t queue_capacity_;  // bytes of backlog allowed beyond the wire
-  obs::RelaxedU64 delivered_packets_;  // cut links count from both shards
-  obs::RelaxedU64 delivered_bytes_;
+  // One cell per receiving end, each written only on that end's shard.
+  obs::SingleWriterU64 delivered_packets_[2];
+  obs::SingleWriterU64 delivered_bytes_[2];
   Impairments imp_;        // shard-confined (impaired media are never cut)
   ImpairmentStats stats_;  // relaxed atomics (see impairments.hpp)
   std::atomic<bool> link_up_{true};
   std::uint64_t rng_ = 0x9E3779B97F4A7C15ull;  // shard-confined (never cut)
+  int meter_count_;
+  std::unique_ptr<BandwidthMeter[]> meters_;  // null until armed
 
   // Cached instruments in the global registry (medium/<name>/...).
   obs::Counter* m_delivered_ = nullptr;
@@ -236,16 +276,17 @@ class Medium {
 /// Full-duplex point-to-point link between exactly two interfaces.
 ///
 /// The duplex directions are independent: direction d (sender ends_[d]) has
-/// its own busy_until_ slot and carried-traffic meter, all written only from
-/// the sender's shard. That is what makes a clean link CUTTABLE by the
-/// parallel executor: its delay() becomes cross-shard lookahead, and each
-/// direction's deliveries are posted to the receiving shard's mailbox
-/// through the installed poster instead of the local queue.
+/// its own busy_until_ slot and, once armed, carried-traffic meter d, all
+/// written only from the sender's shard. That is what makes a clean link
+/// CUTTABLE by the parallel executor: its delay() becomes cross-shard
+/// lookahead, and each direction's deliveries are posted to the receiving
+/// shard's mailbox through the installed poster instead of the local queue.
 class PointToPointLink : public Medium {
  public:
   PointToPointLink(EventQueue& events, std::string name, double bits_per_sec,
                    SimTime delay, std::uint64_t queue_capacity_bytes = 64 * 1024)
-      : Medium(events, std::move(name), bits_per_sec, delay, queue_capacity_bytes) {}
+      : Medium(events, std::move(name), bits_per_sec, delay, queue_capacity_bytes,
+               2) {}
 
   void connect(Interface& a, Interface& b) {
     ends_[0] = &a;
@@ -263,9 +304,6 @@ class PointToPointLink : public Medium {
   void transmit(Interface& from, Packet p) override;
 
   Interface* end(int i) const { return ends_[i]; }
-
-  /// Sums both direction meters (barrier-only on a cut link).
-  double utilization() override;
 
   /// Poster for frames whose receiving end lives on another shard. Invoked
   /// on the SENDER's thread with the computed arrival time; the executor's
@@ -289,8 +327,6 @@ class PointToPointLink : public Medium {
 
   Interface* ends_[2] = {nullptr, nullptr};
   SimTime busy_until_[2] = {0, 0};       // per direction (sender-shard state)
-  BandwidthMeter dir_meter_[2] = {BandwidthMeter{kNsPerSec / 2},
-                                  BandwidthMeter{kNsPerSec / 2}};
   CrossShardPoster cross_[2];            // indexed by receiving end
 };
 
@@ -303,7 +339,8 @@ class EthernetSegment : public Medium {
   EthernetSegment(EventQueue& events, std::string name, double bits_per_sec,
                   SimTime delay = micros(50),
                   std::uint64_t queue_capacity_bytes = 128 * 1024)
-      : Medium(events, std::move(name), bits_per_sec, delay, queue_capacity_bytes) {}
+      : Medium(events, std::move(name), bits_per_sec, delay, queue_capacity_bytes,
+               1) {}
 
   void attach(Interface& iface) {
     iface.set_medium_slot(static_cast<std::uint32_t>(ifaces_.size()));
@@ -319,14 +356,6 @@ class EthernetSegment : public Medium {
 
   const std::vector<Interface*>& interfaces() const { return ifaces_; }
 
-  /// Aggregate carried-traffic meter (all senders). Shard-confined (meters
-  /// mutate on read).
-  BandwidthMeter& meter() { return meter_; }
-
-  double utilization() override {
-    return meter_.rate_bps(events_->now()) / bandwidth_bps_;
-  }
-
  private:
   void schedule_delivery(const Interface* from, Packet&& p, SimTime arrival);
   /// Arrival of a frame sent by the station in slot `from_slot`: link-state
@@ -338,7 +367,6 @@ class EthernetSegment : public Medium {
 
   std::vector<Interface*> ifaces_;
   SimTime busy_until_ = 0;  // shared medium
-  BandwidthMeter meter_{kNsPerSec / 2};
 };
 
 }  // namespace asp::net

@@ -25,10 +25,12 @@
 // capture a baseline at construction and report deltas (see
 // runtime::AspRuntime::stats()).
 //
-// Thread-safety (see DESIGN.md §6f): Counter and Gauge are relaxed atomics —
-// any shard thread may bump them concurrently through a cached pointer with
-// no lock on the hot path; the totals are exact because every write is a
-// commutative add/last-write. Instrument *creation* (counter()/gauge()/
+// Thread-safety (see DESIGN.md §6f): any shard thread may bump a Counter
+// through a cached pointer. Each bound shard thread owns one single-writer
+// cell of every Counter (indexed by its mem shard id, see bind_counter_cell),
+// so an increment is a plain load and store with no lock prefix; value()
+// sums the cells, exact at barriers. A Gauge is a relaxed atomic, last write
+// wins. Instrument *creation* (counter()/gauge()/
 // histogram()) takes the registry mutex, so a runtime install on one shard
 // can mint instruments while other shards keep incrementing theirs.
 // Histograms are NOT atomic: each histogram must be observed from a single
@@ -49,16 +51,47 @@
 
 namespace asp::obs {
 
-/// Monotonically increasing event count. Thread-safe (relaxed atomic):
-/// concurrent inc() from any shard, exact total at barriers.
+namespace detail {
+// The calling thread's Counter cell; -1 while unbound.
+inline constinit thread_local int t_counter_cell = -1;
+}  // namespace detail
+
+/// Binds the calling thread to Counter cell `id` (-1 unbinds). The id must
+/// be held by no other live thread: mem::bind_shard passes the thread's
+/// shard id, which its registry hands out exclusively, and unbinds before
+/// releasing it.
+inline void bind_counter_cell(int id) { detail::t_counter_cell = id; }
+
+/// Monotonically increasing event count. Concurrent inc() from any thread,
+/// exact total at barriers. Threads bound to cells 0..kCells-1 write their
+/// own single-writer cell; every other thread (unbound, or a shard id past
+/// the last cell) adds into one atomic overflow cell.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_.load(); }
-  void reset() { value_ = 0; }
+  static constexpr int kCells = 8;
+
+  void inc(std::uint64_t n = 1) {
+    const auto k = static_cast<unsigned>(detail::t_counter_cell);
+    if (k < kCells) {
+      cells_[k] += n;
+    } else {
+      overflow_ += n;
+    }
+  }
+  std::uint64_t value() const {
+    std::uint64_t v = overflow_.load();
+    for (const SingleWriterU64& c : cells_) v += c.load();
+    return v;
+  }
+  /// Barrier-only, like every whole-instrument write.
+  void reset() {
+    for (SingleWriterU64& c : cells_) c = 0;
+    overflow_ = 0;
+  }
 
  private:
-  RelaxedU64 value_;
+  SingleWriterU64 cells_[kCells];
+  RelaxedU64 overflow_;
 };
 
 /// Last-written instantaneous value. Thread-safe (relaxed atomic): set() is a
@@ -186,10 +219,11 @@ MetricsRegistry& registry();
 /// internet-scale topologies: 10^4 nodes x ~14 instruments would put ~10^5
 /// entries in the registry and megabytes in every BENCH_*.json, so instead
 /// all instances constructed while the mode is off share one aggregate set
-/// (node/_agg/net/*, medium/_agg/*). Aggregate counters stay deterministic
-/// under the sharded executor (atomic adds commute); per-instance statistics
-/// remain available on the objects themselves. Setup-time only: flip it
-/// before constructing a topology, never while a simulation runs.
+/// (node/_agg/net/*, medium/_agg/*). Aggregate counters stay exact and
+/// deterministic under the sharded executor (per-shard cells, summed on
+/// read); per-instance statistics remain available on the objects
+/// themselves. Setup-time only: flip it before constructing a topology,
+/// never while a simulation runs.
 bool instance_metrics_enabled();
 void set_instance_metrics_enabled(bool on);
 

@@ -1,13 +1,23 @@
-// RelaxedU64: a drop-in counter cell for statistics shared across shard
-// threads.
+// Counter cells for statistics shared across shard threads.
 //
-// The parallel executor (net/exec.hpp) runs one thread per shard; counters
-// that more than one shard may touch (obs::Counter, Medium delivery/drop
-// counts, pool statistics) become relaxed atomics. Relaxed is enough because
-// every such field is a pure commutative sum — no reader makes a control
-// decision from a mid-window value, and window barriers (acq/rel on the
-// executor's synchronization) order everything that matters. The final totals
-// are exact and deterministic regardless of thread interleaving.
+// The parallel executor (net/exec.hpp) runs one thread per shard. Two cell
+// kinds cover its statistics, chosen by who writes:
+//
+//   SingleWriterU64  exactly one thread writes at a time (a shard's own
+//                    pool counters, a link end's delivery count, one shard's
+//                    cell of an obs::Counter). An increment is a relaxed load
+//                    plus a relaxed store: no lock prefix.
+//   RelaxedU64       foreign threads write too (remote frees, a cut link's
+//                    drop counts). An increment is one `lock add`, which costs
+//                    tens of cycles even uncontended, so these stay off the
+//                    serial per-packet path.
+//
+// Relaxed is enough for both: every field is a pure sum that no reader acts
+// on mid-window, and window barriers (acq/rel on the executor's
+// synchronization) order everything that matters. Totals are exact and
+// deterministic at barriers regardless of thread interleaving. A
+// single-writer cell changing writers (a thread exits and another binds the
+// same shard id) is ordered by the mutex that hands the id over.
 #pragma once
 
 #include <atomic>
@@ -15,9 +25,8 @@
 
 namespace asp::obs {
 
-/// Monotone-ish uint64 cell with relaxed atomic ops and value semantics on
-/// copy (copies snapshot the current value). Increments compile to a single
-/// uncontended `lock add` on x86 — cheap enough for the per-packet path.
+/// Multi-writer uint64 cell with relaxed atomic ops and value semantics on
+/// copy (copies snapshot the current value).
 class RelaxedU64 {
  public:
   RelaxedU64() = default;
@@ -50,6 +59,30 @@ class RelaxedU64 {
   }
   RelaxedU64& operator-=(std::uint64_t n) {
     v_.fetch_sub(n, std::memory_order_relaxed);
+    return *this;
+  }
+
+ private:
+  std::atomic<std::uint64_t> v_{0};
+};
+
+/// uint64 cell written by one thread at a time and readable from any thread.
+/// Updates are read-then-store, so two concurrent writers would lose counts;
+/// readers on other threads see a torn-free, possibly stale value.
+class SingleWriterU64 {
+ public:
+  SingleWriterU64& operator=(std::uint64_t v) {
+    store(v);
+    return *this;
+  }
+
+  std::uint64_t load() const { return v_.load(std::memory_order_relaxed); }
+  void store(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
+  operator std::uint64_t() const { return load(); }  // NOLINT: drop-in reads
+
+  SingleWriterU64& operator++() { return *this += 1; }
+  SingleWriterU64& operator+=(std::uint64_t n) {
+    store(load() + n);
     return *this;
   }
 

@@ -18,6 +18,17 @@ AspRuntime::AspRuntime(asp::net::Node& node) : node_(node) {
   network_tag_ = asp::net::ChannelTags::intern("network");
   base_ = RuntimeStats{m_handled_->value(), m_passed_->value(), m_sent_->value(),
                        m_dropped_->value(), m_errors_->value()};
+  if (asp::net::Medium* m = link_medium()) m->arm_meter();
+}
+
+void AspRuntime::set_monitored_medium(asp::net::Medium* m) {
+  monitored_ = m;
+  if (m != nullptr) m->arm_meter();
+}
+
+asp::net::Medium* AspRuntime::link_medium() const {
+  if (monitored_ != nullptr || node_.iface_count() == 0) return monitored_;
+  return node_.iface(static_cast<int>(node_.iface_count()) - 1).medium();
 }
 
 RuntimeStats AspRuntime::stats() const {
@@ -174,10 +185,7 @@ bool AspRuntime::on_packet(asp::net::Packet& p, asp::net::Interface* in) {
 }
 
 std::int64_t AspRuntime::link_load_percent() {
-  asp::net::Medium* m = monitored_;
-  if (m == nullptr && node_.iface_count() > 0) {
-    m = node_.iface(static_cast<int>(node_.iface_count()) - 1).medium();
-  }
+  asp::net::Medium* m = link_medium();
   if (m == nullptr) return 0;
   double u = m->utilization();
   if (u < 0) u = 0;
@@ -186,10 +194,7 @@ std::int64_t AspRuntime::link_load_percent() {
 }
 
 std::int64_t AspRuntime::link_bandwidth_kbps() {
-  asp::net::Medium* m = monitored_;
-  if (m == nullptr && node_.iface_count() > 0) {
-    m = node_.iface(static_cast<int>(node_.iface_count()) - 1).medium();
-  }
+  asp::net::Medium* m = link_medium();
   if (m == nullptr) return 0;
   return static_cast<std::int64_t>(m->bandwidth_bps() / 1000.0);
 }

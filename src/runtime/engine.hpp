@@ -55,7 +55,9 @@ class AspRuntime : public planp::EnvApi {
 
   /// Medium whose utilization linkLoad() reports (the audio router monitors
   /// its outgoing segment). Defaults to the medium of the last interface.
-  void set_monitored_medium(asp::net::Medium* m) { monitored_ = m; }
+  /// The runtime arms the meters of the medium it reads (Medium::arm_meter):
+  /// the default one at construction, a monitored one here.
+  void set_monitored_medium(asp::net::Medium* m);
 
   /// Also run the hook on packets this node *sends* (end-host ASPs, e.g. the
   /// audio client transform applies on receive; the MPEG request rewriting
@@ -106,6 +108,10 @@ class AspRuntime : public planp::EnvApi {
     planp::Protocol::Options o;
     return o;
   }
+
+  /// The medium linkLoad()/linkBandwidth() report: the monitored one, else
+  /// the last interface's. nullptr on a node without interfaces.
+  asp::net::Medium* link_medium() const;
 
   /// A protocol together with its match-action table: the two retire as a
   /// unit so a reinstall from inside a channel handler cannot free the table

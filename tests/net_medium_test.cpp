@@ -207,6 +207,7 @@ TEST(EthernetSegment, UtilizationTracksOfferedLoad) {
   net.attach(a, seg, ip("192.168.1.1"));
   net.attach(b, seg, ip("192.168.1.2"));
   Sink sink(b);
+  seg.arm_meter();  // media measure only once a reader arms them
 
   // Send 5 Mb/s for half a second: 625 kB in 0.5s, as 1250B packets every 2ms.
   for (int i = 0; i < 250; ++i) {

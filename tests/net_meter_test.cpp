@@ -2,7 +2,8 @@
 // ASP reads the meter from the first packet onwards; dividing by the full
 // window before one window of history exists underreported bandwidth and
 // skewed the early adaptation decision), a differential test of the ring
-// meter against a deque reference model, and PointToPointLink::utilization().
+// meter against a deque reference model, Medium::utilization(), and the
+// reader-armed media meters (a medium measures only once armed).
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -203,6 +204,7 @@ TEST(MeterDifferential, PointToPointUtilizationSumsBothDirections) {
   Node& a = net.add_node("a");
   Node& b = net.add_node("b");
   PointToPointLink& link = net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 10e6, millis(1));
+  link.arm_meter();  // media measure only once a reader arms them
   UdpSocket sink_a(a, 7, nullptr);
   UdpSocket sink_b(b, 7, nullptr);
 
@@ -231,6 +233,106 @@ TEST(MeterDifferential, PointToPointUtilizationSumsBothDirections) {
     EXPECT_DOUBLE_EQ(link.utilization(), want) << t;
     EXPECT_GT(link.utilization(), ab.rate_bps(now) / 10e6) << "b -> a traffic not counted";
     EXPECT_NEAR(link.utilization(), 0.35, 0.02) << t;
+  }
+}
+
+// --- reader-armed media meters ------------------------------------------------
+
+// A link nobody armed records nothing and holds no meter storage: the
+// direction pair lives out of line and is allocated only by arm_meter().
+TEST(MeterArming, UnarmedLinkRecordsNothing) {
+  Network net;
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  PointToPointLink& link = net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 10e6, millis(1));
+  UdpSocket sink_b(b, 7, nullptr);
+  auto send = [&] {
+    a.send_ip(Packet::make_udp(a.addr(), b.addr(), 9999, 7,
+                               std::vector<std::uint8_t>(1222)));
+  };
+  for (int i = 0; i < 100; ++i) {
+    net.events().schedule_at(millis(2) * static_cast<SimTime>(i), send);
+  }
+  net.run_until(millis(200));
+  EXPECT_EQ(link.delivered_packets(), 100u);
+  EXPECT_FALSE(link.meter_armed());
+
+  // The first read arms the link and measures from that moment on: the
+  // traffic before it was never recorded.
+  EXPECT_EQ(link.utilization(), 0.0);
+  EXPECT_TRUE(link.meter_armed());
+  for (int i = 0; i < 100; ++i) {
+    net.events().schedule_at(millis(200) + millis(2) * static_cast<SimTime>(i), send);
+  }
+  net.run_until(millis(400));
+  EXPECT_NEAR(link.utilization(), 0.5, 0.02);
+}
+
+// A medium armed before traffic reads, bit for bit, what the always-on meter
+// read. The reference is DequeMeter above fed every frame the medium put on
+// the wire at its sender's clock: one meter per sending end on a link, one
+// aggregate on a segment. Seeded bursts from either end, short and
+// longer-than-window gaps, and a query after every step; queues are deep
+// enough that no frame is dropped before the meter.
+void replay_armed_medium(std::uint32_t seed, bool segment) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&](std::uint64_t n) { return rng() % n; };
+  constexpr double kBps = 10e6;
+  constexpr std::uint64_t kDeepQueue = std::uint64_t{1} << 30;
+  Network net;
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  Medium* m = nullptr;
+  if (segment) {
+    EthernetSegment& seg = net.segment("lan", kBps, micros(50), kDeepQueue);
+    net.attach(a, seg, ip("192.168.1.1"));
+    net.attach(b, seg, ip("192.168.1.2"));
+    m = &seg;
+  } else {
+    m = &net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), kBps, millis(1), kDeepQueue);
+  }
+  m->arm_meter();
+  UdpSocket sink_a(a, 7, nullptr);
+  UdpSocket sink_b(b, 7, nullptr);
+  DequeMeter ref[2] = {DequeMeter(Medium::kMeterWindow),
+                       DequeMeter(Medium::kMeterWindow)};
+
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " segment " << segment
+                                      << " step " << step);
+    switch (pick(4)) {
+      case 0: {  // burst from one end at one instant
+        const int end = static_cast<int>(pick(2));
+        Node& from = end == 0 ? a : b;
+        Node& to = end == 0 ? b : a;
+        for (std::uint64_t i = 0, n = 1 + pick(40); i < n; ++i) {
+          Packet p = Packet::make_udp(from.addr(), to.addr(), 9999, 7,
+                                      std::vector<std::uint8_t>(pick(1400)));
+          ref[segment ? 0 : end].record(net.now(), p.wire_size());
+          from.send_ip(std::move(p));
+        }
+        break;
+      }
+      case 1:  // idle gap: every sample leaves the window
+        net.run_until(net.now() + Medium::kMeterWindow + 1 + pick(Medium::kMeterWindow));
+        break;
+      default:  // short gap
+        net.run_until(net.now() + pick(Medium::kMeterWindow / 8 + 2));
+        break;
+    }
+    const SimTime now = net.now();
+    const double want = segment ? ref[0].rate_bps(now) / kBps
+                                : (ref[0].rate_bps(now) + ref[1].rate_bps(now)) / kBps;
+    ASSERT_EQ(m->utilization(), want);
+  }
+  net.run();
+  EXPECT_EQ(m->dropped_packets(), 0u);
+}
+
+TEST(MeterDifferential, ArmedMediaMatchAlwaysOnMeter) {
+  for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+    replay_armed_medium(seed, /*segment=*/false);
+    replay_armed_medium(seed, /*segment=*/true);
   }
 }
 

@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "mem/shard.hpp"
 
 namespace asp::obs {
 namespace {
@@ -111,6 +114,38 @@ TEST(Counter, CountsAndResets) {
   EXPECT_EQ(c.value(), 42u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
+}
+
+// Counter cells are single-writer: each shard-bound thread writes its own
+// cell with a plain load and store, unbound threads share one atomic
+// overflow cell. Eight threads bumping one shared counter and their own
+// instance counters must still produce exact totals (cells indexed wrongly,
+// or written by two threads, lose counts here).
+TEST(Counter, ConcurrentShardThreadsCountExactly) {
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kIncs = 100'000;
+  MetricsRegistry reg;
+  Counter& shared = reg.counter("shared");
+  std::vector<Counter*> own;
+  for (int i = 0; i < kThreads; ++i) own.push_back(&reg.counter("own/" + std::to_string(i)));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      // The last thread stays unbound and counts through the overflow cell.
+      if (i != kThreads - 1) mem::bind_shard(-1);
+      for (std::uint64_t n = 0; n < kIncs; ++n) {
+        shared.inc();
+        own[static_cast<std::size_t>(i)]->inc(3);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(shared.value(), kThreads * kIncs);
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(own[static_cast<std::size_t>(i)]->value(), 3 * kIncs) << i;
+  }
+  shared.reset();
+  EXPECT_EQ(shared.value(), 0u);
 }
 
 TEST(Gauge, SetAndAdd) {

@@ -13,6 +13,7 @@ using asp::net::millis;
 using asp::net::Network;
 using asp::net::Node;
 using asp::net::Packet;
+using asp::net::PointToPointLink;
 using asp::net::seconds;
 using asp::net::UdpSocket;
 
@@ -212,6 +213,39 @@ TEST(AspRuntime, LinkLoadReflectsMonitoredMedium) {
   UdpSocket sock_a(a, 7, [](const Packet&) {});
   net.run_until(millis(600));
   // linkLoad printed something close to 50.
+  int load = std::stoi(rt.log());
+  EXPECT_NEAR(load, 50, 15);
+}
+
+// Point-to-point twin of the test above, reading the default medium: the
+// last interface's link, which the runtime arms at construction. The node
+// loads its own link a -> b at ~50% (its sends bypass its receive-path ASP)
+// and a probe from b reports the load.
+TEST(AspRuntime, LinkLoadReadsLastInterfaceLinkByDefault) {
+  Network net;
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  PointToPointLink& link = net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 10e6, 0);
+  EXPECT_FALSE(link.meter_armed());
+
+  AspRuntime rt(a);
+  EXPECT_TRUE(link.meter_armed());
+  rt.install("channel network(ps : unit, ss : unit, p : ip*udp*blob) is "
+             "(println(linkLoad()); deliver(p); (ps, ss))");
+
+  UdpSocket sink(b, 9, nullptr);
+  UdpSocket srca(a, 8888, nullptr);
+  for (int i = 0; i < 250; ++i) {
+    net.events().schedule_at(millis(2) * i, [&] {
+      srca.send_to(b.addr(), 9, std::vector<std::uint8_t>(1222));
+    });
+  }
+  UdpSocket srcb(b, 8888, nullptr);
+  net.events().schedule_at(millis(400), [&] {
+    srcb.send_to(a.addr(), 7, asp::net::bytes_of("probe"));
+  });
+  UdpSocket sock_a(a, 7, [](const Packet&) {});
+  net.run_until(millis(600));
   int load = std::stoi(rt.log());
   EXPECT_NEAR(load, 50, 15);
 }

@@ -2,15 +2,18 @@
 // determinism, island structure, the .scn parser's reject-typos policy, the
 // serial-vs-sharded determinism gate on the checked-in 1k-node scenario, and
 // the tx_time rounding regression that the 10^5-user workloads exposed.
+#include <array>
 #include <climits>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/exec.hpp"
 #include "net/network.hpp"
 #include "net/time.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/scn.hpp"
 #include "scenario/topology.hpp"
@@ -300,6 +303,45 @@ TEST(ScenarioDeterminism, SerialMatchesShardedOn1kFatTree) {
     EXPECT_GT(m.islands, 100);  // 125 switch-anchored islands
   }
   EXPECT_EQ(serial, sharded);
+}
+
+// Registry counters keep one cell per shard thread, summed on read. The
+// node/_agg and medium/_agg totals one run adds must be exact at any shard
+// count: equal across 1, 2 and 4 shards, and equal to the per-object
+// statistics they mirror.
+TEST(ScenarioDeterminism, AggregateCountersExactAtAnyShardCount) {
+  ScenarioConfig cfg;
+  std::string err;
+  ASSERT_TRUE(load_scn_file(std::string(ASP_SCENARIO_DIR) + "/fat_tree_1k.scn",
+                            cfg, err))
+      << err;
+  cfg.run.duration = net::millis(40);
+  const char* const kNames[] = {"node/_agg/net/rx_packets", "node/_agg/net/tx_bytes",
+                                "node/_agg/net/route_cache_hits",
+                                "medium/_agg/delivered_packets"};
+  std::vector<std::array<std::uint64_t, 4>> deltas;
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE(shards);
+    std::array<std::uint64_t, 4> delta{};
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+      delta[i] = obs::registry().counter(kNames[i]).value();
+    }
+    Scenario sc(cfg);
+    EXPECT_EQ(sc.run(shards).shards, shards);
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+      delta[i] = obs::registry().counter(kNames[i]).value() - delta[i];
+      EXPECT_GT(delta[i], 0u) << kNames[i];
+    }
+    std::uint64_t rx = 0;
+    std::uint64_t delivered = 0;
+    for (const auto& n : sc.network().nodes()) rx += n->rx_packets();
+    for (const auto& m : sc.network().media()) delivered += m->delivered_packets();
+    EXPECT_EQ(delta[0], rx);
+    EXPECT_EQ(delta[3], delivered);
+    deltas.push_back(delta);
+  }
+  EXPECT_EQ(deltas[1], deltas[0]);
+  EXPECT_EQ(deltas[2], deltas[0]);
 }
 
 // Same config, two fresh instantiations, same seed => identical metrics:
