@@ -23,7 +23,7 @@ using planp::Value;
 
 struct Fixture {
   Fixture() {
-    checked = planp::typecheck(planp::parse(apps::audio_router_asp()));
+    checked = planp::typecheck(planp::parse(apps::asp_source("audio_router")));
     compiled = planp::compile(checked);
     env.load_percent = 95;
     net::IpHeader ip;

@@ -140,8 +140,8 @@ struct Fixture {
 const net::Ipv4Addr kVirtualServer = net::ip("10.0.9.9");
 
 std::string gateway_protocol() {
-  return apps::http_gateway_asp(kVirtualServer, net::ip("131.254.60.81"),
-                                net::ip("131.254.60.109"));
+  return apps::http_gateway_asp("http_gateway", kVirtualServer,
+                                net::ip("131.254.60.81"), net::ip("131.254.60.109"));
 }
 
 // An HTTP request to the virtual server from a connection the gateway has

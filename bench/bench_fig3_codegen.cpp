@@ -27,11 +27,11 @@ struct Prog {
 
 std::vector<Prog> programs() {
   return {
-      {"Audio Broadcasting (router)", apps::audio_router_asp()},
-      {"Audio Broadcasting (client)", apps::audio_client_asp()},
+      {"Audio Broadcasting (router)", apps::asp_source("audio_router")},
+      {"Audio Broadcasting (client)", apps::asp_source("audio_client")},
       {"Extensible Web Server",
-       apps::http_gateway_asp(net::ip("10.0.9.9"), net::ip("131.254.60.81"),
-                              net::ip("131.254.60.109"))},
+       apps::http_gateway_asp("http_gateway", net::ip("10.0.9.9"),
+                              net::ip("131.254.60.81"), net::ip("131.254.60.109"))},
       {"MPEG (monitor)", apps::mpeg_monitor_asp(net::ip("10.0.1.1"))},
       {"MPEG (client)", apps::mpeg_capture_asp(net::ip("192.168.1.1"), 7000, 7010)},
   };

@@ -46,7 +46,8 @@ Value make_packet(int i) {
 struct GatewayFixture {
   GatewayFixture(planp::EngineKind kind) {
     checked = planp::typecheck(
-        planp::parse(apps::http_gateway_asp(kVirtual, kServer0, kServer1)));
+        planp::parse(apps::http_gateway_asp("http_gateway", kVirtual, kServer0,
+                                            kServer1)));
     switch (kind) {
       case planp::EngineKind::kInterp:
         engine = std::make_unique<planp::Interp>(checked, env);
@@ -141,7 +142,7 @@ void BM_Audio_Jit(benchmark::State& state) {
   planp::NullEnv env;
   env.load_percent = 95;
   planp::CheckedProgram checked =
-      planp::typecheck(planp::parse(apps::audio_router_asp()));
+      planp::typecheck(planp::parse(apps::asp_source("audio_router")));
   planp::CompiledProgram compiled = planp::compile(checked);
   planp::JitEngine engine(compiled, env);
   net::IpHeader ip;

@@ -40,8 +40,8 @@ int main() {
   };
 
   // 1. Push the verified audio router ASP to both routers.
-  deployer.deploy(r1.addr(), apps::audio_router_asp(), report("audio ASP to router1"));
-  deployer.deploy(net::ip("10.0.2.254"), apps::audio_router_asp(),
+  deployer.deploy(r1.addr(), apps::asp_source("audio_router"), report("audio ASP to router1"));
+  deployer.deploy(net::ip("10.0.2.254"), apps::asp_source("audio_router"),
                   report("audio ASP to router2"));
   network.run_until(net::seconds(2));
 

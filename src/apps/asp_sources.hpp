@@ -1,495 +1,73 @@
-// PLAN-P source text of every ASP used in the paper's experiments (§3).
+// PLAN-P source text of every ASP the simulator installs (paper §3).
 //
-// ASPs are configured at download time by substituting addresses/ports into
-// the source — the paper's point that "the ASP can be easily changed so as to
-// permit the addition/removal of a physical server, or to match a new network
-// topology". Human-readable copies live in /asps; tests assert the two stay
-// in sync.
+// asps/<name>.planp is the only copy of each ASP. The build embeds the files
+// (src/apps/CMakeLists.txt), so nothing is read at run time; to change an
+// ASP, edit its file and rebuild. ASPs are configured at download time by
+// substituting addresses and ports into the source (§3.2: "the ASP can be
+// easily changed ... to match a new network topology"): each such parameter
+// is a top-level `val NAME : T = init` line, and an override replaces it.
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "net/addr.hpp"
 
 namespace asp::apps {
 
-// --- PLAN-P Ethernet bridge ----------------------------------------------------
+/// Replaces the initialiser of the top-level `val <name> : T = ...` line.
+struct ValOverride {
+  std::string_view name;
+  std::string value;
+};
 
-/// The learning Ethernet bridge the paper cites from the authors' earlier
-/// work (§1/§2.4: "a PLAN-P Ethernet bridge can be as efficient as an
-/// in-kernel built-in C programmed bridge"). The shared protocol state learns
-/// which interface each source sits behind; frames whose destination is on
-/// the arrival side are filtered, everything else is flooded to the other
-/// side(s) via OnNeighbor.
-inline std::string bridge_asp() {
-  return R"(-- Learning Ethernet bridge (paper 1/2.4 cited claim).
-channel network(ps : (host, int) hash_table, ss : unit, p : ip*blob) is
-  let val src : host = ipSrc(#1 p)
-      val dst : host = ipDst(#1 p)
-      val side : int = arrivalIface()
-  in
-    (tableSet(ps, src, side);
-     if (try tableGet(ps, dst) with -1) = side then
-       (drop(); (ps, ss))    -- destination is on the arrival segment
-     else
-       (OnNeighbor(network, p); (ps, ss)))
-  end
-)";
-}
+/// `text` with each override applied. The initialiser runs from after `= ` to
+/// the end of its line, or to the blanks before a trailing `--` comment.
+/// Throws std::invalid_argument unless exactly one top-level `val` line
+/// declares each name.
+std::string override_vals(std::string text, std::initializer_list<ValOverride> overrides);
 
-// --- §3.1 audio broadcasting -------------------------------------------------
+/// The embedded asps/<name>.planp with `overrides` applied. Throws
+/// std::invalid_argument for a name with no file.
+std::string asp_source(std::string_view name,
+                       std::initializer_list<ValOverride> overrides = {});
 
-/// Router ASP: per-segment bandwidth adaptation. Degrades 16-bit stereo to
-/// 16-bit mono to 8-bit mono as the outgoing segment's load rises.
-inline std::string audio_router_asp() {
-  return R"(-- Audio broadcasting: in-router bandwidth adaptation (paper 3.1).
--- Quality levels: 0 = 16-bit stereo (176 kb/s), 1 = 16-bit mono (88 kb/s),
--- 2 = 8-bit mono (44 kb/s). The tag character rides in front of the PCM.
-val audioPort : int = 5004
+/// The name of every embedded file, sorted.
+std::vector<std::string_view> asp_names();
 
-fun levelFor(load : int) : int =
-  if load >= 85 then 2 else if load >= 60 then 1 else 0
+// Typed entry points for the ASPs that take parameters.
 
-fun tagOf(level : int) : char =
-  if level = 2 then '2' else if level = 1 then '1' else '0'
-
-fun degradeFrom0(level : int, pcm : blob) : blob =
-  if level = 2 then audio16To8(audioStereoToMono(pcm))
-  else if level = 1 then audioStereoToMono(pcm)
-  else pcm
-
-fun degradeMore(cur : int, need : int, pcm : blob) : blob =
-  if cur = 0 then degradeFrom0(need, pcm)
-  else if cur = 1 and need = 2 then audio16To8(pcm)
-  else pcm
-
--- Untagged traffic: tag and degrade multicast audio; forward everything else.
-channel network(ps : int, ss : unit, p : ip*udp*blob) is
-  let val iph : ip = #1 p
-      val udph : udp = #2 p
-  in
-    if udpDst(udph) = audioPort and isMulticast(ipDst(iph)) then
-      let val level : int = levelFor(linkLoad()) in
-        (OnRemote(audio, (iph, udph, tagOf(level), degradeFrom0(level, #3 p)));
-         (level, ss))
-      end
-    else
-      (OnRemote(network, p); (ps, ss))
-  end
-
--- Audio already tagged by an upstream router: degrade further if this
--- segment is more loaded (adaptation is per segment, paper 3.1).
-channel audio(ps : int, ss : unit, p : ip*udp*char*blob) is
-  let val cur : int = charPos(#3 p) - 48
-      val need : int = levelFor(linkLoad())
-  in
-    if need > cur then
-      (OnRemote(audio, (#1 p, #2 p, tagOf(need), degradeMore(cur, need, #4 p)));
-       (need, ss))
-    else
-      (OnRemote(audio, p); (cur, ss))
-  end
-)";
-}
-
-/// Client ASP: restores degraded audio to the 16-bit stereo format the
-/// unmodified player expects.
-inline std::string audio_client_asp() {
-  return R"(-- Audio broadcasting: client-side reconstruction (paper 3.1).
-fun restore(level : int, pcm : blob) : blob =
-  if level = 2 then audioMonoToStereo(audio8To16(pcm))
-  else if level = 1 then audioMonoToStereo(pcm)
-  else pcm
-
-channel audio(ps : int, ss : unit, p : ip*udp*char*blob) is
-  let val level : int = charPos(#3 p) - 48
-  in (deliver((#1 p, #2 p, restore(level, #4 p))); (level, ss)) end
-)";
-}
-
-/// Alternative adaptation policy (paper §3.1: "there are many other
-/// strategies ... The advantage of PLAN-P is that strategies can be quickly
-/// developed and experimented with"): hysteresis — degrading is immediate,
-/// recovering requires the load to stay low, which suppresses the oscillation
-/// the threshold policy shows at medium load. The protocol state holds the
-/// current level; the channel state counts consecutive low-load packets.
-inline std::string audio_router_hysteresis_asp() {
-  return R"(-- Audio adaptation with hysteresis: oscillation-free variant of 3.1.
-val audioPort : int = 5004
-val holdFrames : int = 50   -- ~1 s of audio must stay calm before upgrading
-
-fun levelFor(load : int) : int =
-  if load >= 85 then 2 else if load >= 60 then 1 else 0
-
-fun tagOf(level : int) : char =
-  if level = 2 then '2' else if level = 1 then '1' else '0'
-
-fun degradeFrom0(level : int, pcm : blob) : blob =
-  if level = 2 then audio16To8(audioStereoToMono(pcm))
-  else if level = 1 then audioStereoToMono(pcm)
-  else pcm
-
-channel network(ps : int, ss : int, p : ip*udp*blob) initstate 0 is
-  let val iph : ip = #1 p
-      val udph : udp = #2 p
-  in
-    if udpDst(udph) = audioPort and isMulticast(ipDst(iph)) then
-      let val want : int = levelFor(linkLoad())
-          val level : int =
-            if want >= ps then want                     -- degrade immediately
-            else if ss >= holdFrames then want          -- calm long enough
-            else ps                                     -- hold the old level
-          val calm : int = if want < ps then ss + 1 else 0
-      in
-        (OnRemote(audio, (iph, udph, tagOf(level), degradeFrom0(level, #3 p)));
-         (level, calm))
-      end
-    else
-      (OnRemote(network, p); (ps, ss))
-  end
-
-channel audio(ps : int, ss : int, p : ip*udp*char*blob) is
-  (OnRemote(audio, p); (ps, ss))
-)";
-}
-
-// --- §3.2 extensible HTTP server ----------------------------------------------
-
-/// Gateway ASP (paper Figure 2, completed): balances HTTP connections across
-/// two physical servers behind one virtual address. The strategy is the
-/// paper's "modulo on the number of requests"; connections stay sticky via
-/// the hash table.
-inline std::string http_gateway_asp(asp::net::Ipv4Addr virtual_server,
+/// §3.2 gateways: `name` is "http_gateway" (paper Figure 2),
+/// "http_gateway_hash" or "http_gateway_failover" (§5).
+inline std::string http_gateway_asp(std::string_view name,
+                                    asp::net::Ipv4Addr virtual_server,
                                     asp::net::Ipv4Addr server0,
                                     asp::net::Ipv4Addr server1) {
-  return std::string(R"(-- Extensible HTTP server with load balancing (paper 3.2, figure 2).
-val virtualServer : host = )") + virtual_server.str() + R"(
-val server0 : host = )" + server0.str() + R"(
-val server1 : host = )" + server1.str() + R"(
-val httpPort : int = 80
-
--- Picks (and records) the physical server for a connection.
-fun getSetS(src : host, sport : int,
-            ss : (host*int, int) hash_table, ps : int) : int =
-  try tableGet(ss, (src, sport))
-  with (tableSet(ss, (src, sport), ps % 2); ps % 2)
-
-channel network(ps : int, ss : (host*int, int) hash_table, p : ip*tcp*blob)
-initstate mkTable(1024) is
-  let val iph : ip = #1 p
-      val tcph : tcp = #2 p
-      val body : blob = #3 p
-  in
-    if ipDst(iph) = virtualServer and tcpDst(tcph) = httpPort then
-      -- incoming HTTP requests
-      let val con : int = getSetS(ipSrc(iph), tcpSrc(tcph), ss, ps) in
-        if con = 0 then
-          -- replace the logical server by server 0
-          (OnRemote(network, (ipDestSet(iph, server0), tcph, body));
-           (if tcpSyn(tcph) and not tcpAck(tcph) then ps + 1 else ps, ss))
-        else
-          -- replace the logical server by server 1
-          (OnRemote(network, (ipDestSet(iph, server1), tcph, body));
-           (if tcpSyn(tcph) and not tcpAck(tcph) then ps + 1 else ps, ss))
-      end
-    else
-      if tcpSrc(tcph) = httpPort and
-         (ipSrc(iph) = server0 or ipSrc(iph) = server1) then
-        -- results: the physical server hides behind the virtual address
-        (OnRemote(network, (ipSrcSet(iph, virtualServer), tcph, body)); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-)";
+  return asp_source(name, {{"virtualServer", virtual_server.str()},
+                           {"server0", server0.str()},
+                           {"server1", server1.str()}});
 }
 
-/// Alternative strategy (paper §3.2/§5: "different load-balancing strategies
-/// can be evaluated by changing the gateway ASP"): stateless source hashing —
-/// no connection table at all, the server choice is a pure function of the
-/// client address and port.
-inline std::string http_gateway_hash_asp(asp::net::Ipv4Addr virtual_server,
-                                         asp::net::Ipv4Addr server0,
-                                         asp::net::Ipv4Addr server1) {
-  return std::string(R"(-- Load balancing by source hashing: stateless variant of figure 2.
-val virtualServer : host = )") + virtual_server.str() + R"(
-val server0 : host = )" + server0.str() + R"(
-val server1 : host = )" + server1.str() + R"(
-
-fun pick(src : host, sport : int) : int = (hostToInt(src) + sport * 7919) % 2
-
-channel network(ps : unit, ss : unit, p : ip*tcp*blob) is
-  let val iph : ip = #1 p
-      val tcph : tcp = #2 p
-  in
-    if ipDst(iph) = virtualServer and tcpDst(tcph) = 80 then
-      if pick(ipSrc(iph), tcpSrc(tcph)) = 0 then
-        (OnRemote(network, (ipDestSet(iph, server0), tcph, #3 p)); (ps, ss))
-      else
-        (OnRemote(network, (ipDestSet(iph, server1), tcph, #3 p)); (ps, ss))
-    else
-      if tcpSrc(tcph) = 80 and (ipSrc(iph) = server0 or ipSrc(iph) = server1) then
-        (OnRemote(network, (ipSrcSet(iph, virtualServer), tcph, #3 p)); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-)";
+/// The in-network HTTP caching proxy (DESIGN.md 6i).
+inline std::string cache_proxy_asp(asp::net::Ipv4Addr origin, int entries, int ttl_ms) {
+  return asp_source("cache_proxy", {{"originHost", origin.str()},
+                                    {"cacheEntries", std::to_string(entries)},
+                                    {"cacheTtlMs", std::to_string(ttl_ms)}});
 }
 
-/// Fault-tolerant gateway (paper §5: "we want to enrich the HTTP cluster
-/// server experiment with fault-tolerance capabilities"): an administrative
-/// UDP control channel marks servers down/up; connections are steered to the
-/// live server and existing assignments to a dead server are overridden.
-inline std::string http_gateway_failover_asp(asp::net::Ipv4Addr virtual_server,
-                                             asp::net::Ipv4Addr server0,
-                                             asp::net::Ipv4Addr server1,
-                                             int admin_port = 9909) {
-  return std::string(R"(-- Load-balancing gateway with administrative failover.
--- Shared protocol state: "down0"/"down1" -> 1 marks a server dead.
-val virtualServer : host = )") + virtual_server.str() + R"(
-val server0 : host = )" + server0.str() + R"(
-val server1 : host = )" + server1.str() + R"(
-val adminPort : int = )" + std::to_string(admin_port) + R"(
-
-fun isDown(flags : (string, int) hash_table, idx : int) : bool =
-  (try tableGet(flags, "down" ^ intToString(idx)) with 0) = 1
-
-fun choose(flags : (string, int) hash_table, want : int) : int =
-  if isDown(flags, want) then 1 - want else want
-
--- Admin channel: "DOWN <idx>" / "UP <idx>" sent to the gateway.
-channel network(ps : (string, int) hash_table, ss : unit, p : ip*udp*blob) is
-  let val body : string = blobToString(#3 p) in
-    if ipDst(#1 p) = thisHost() and udpDst(#2 p) = adminPort then
-      (if startsWith(body, "DOWN ") then
-         tableSet(ps, "down" ^ strWord(body, 1), 1)
-       else if startsWith(body, "UP ") then
-         tableSet(ps, "down" ^ strWord(body, 1), 0)
-       else ();
-       drop(); (ps, ss))
-    else
-      (OnRemote(network, p); (ps, ss))
-  end
-
-channel network(ps : (string, int) hash_table,
-                ss : (host*int, int) hash_table, p : ip*tcp*blob)
-initstate mkTable(1024) is
-  let val iph : ip = #1 p
-      val tcph : tcp = #2 p
-  in
-    if ipDst(iph) = virtualServer and tcpDst(tcph) = 80 then
-      let val key : host*int = (ipSrc(iph), tcpSrc(tcph))
-          val want : int =
-            try tableGet(ss, key)
-            with let val n : int = (tcpSrc(tcph) + hostToInt(ipSrc(iph))) % 2 in
-                   (tableSet(ss, key, n); n)
-                 end
-          val con : int = choose(ps, want)
-      in
-        if con = 0 then
-          (OnRemote(network, (ipDestSet(iph, server0), tcph, #3 p)); (ps, ss))
-        else
-          (OnRemote(network, (ipDestSet(iph, server1), tcph, #3 p)); (ps, ss))
-      end
-    else
-      if tcpSrc(tcph) = 80 and (ipSrc(iph) = server0 or ipSrc(iph) = server1) then
-        (OnRemote(network, (ipSrcSet(iph, virtualServer), tcph, #3 p)); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-)";
+/// §3.3 monitor of the video server's streams.
+inline std::string mpeg_monitor_asp(asp::net::Ipv4Addr server_host) {
+  return asp_source("mpeg_monitor", {{"serverHost", server_host.str()}});
 }
 
-/// Image distillation over a loaded link (paper §5: "our medium term goal is
-/// to do adaptation of data traffic such as images ... over low bandwidth
-/// networks. One possible solution is the integration of image distillation
-/// support into PLAN-P").
-inline std::string image_distill_asp(int image_port = 8008) {
-  return std::string(R"(-- Image distillation in the router (paper 5, medium-term goals).
-val imagePort : int = )") + std::to_string(image_port) + R"(
-
-fun qualityFor(load : int) : int =
-  if load >= 90 then 8 else if load >= 70 then 4 else if load >= 50 then 2 else 1
-
-channel network(ps : int, ss : unit, p : ip*udp*blob) is
-  if udpDst(#2 p) = imagePort then
-    let val q : int = qualityFor(linkLoad()) in
-      (OnRemote(network, (#1 p, #2 p, try distillImage(#3 p, q) with #3 p));
-       (q, ss))
-    end
-  else
-    (OnRemote(network, p); (ps, ss))
-)";
-}
-
-// --- in-network HTTP caching proxy (ROADMAP item 2) ----------------------------
-
-/// Edge-cache ASP: a Traffic Server-style forward proxy scaled down to one
-/// channel pair. Requests for originHost:httpPort are answered from the
-/// router's object cache when fresh (cacheLookup raises CacheMiss otherwise);
-/// misses travel on to the origin, and the response fills the cache as it
-/// passes back through the router. Cache hits ride the `hit` channel so the
-/// verifier sees an acyclic send graph: the reply (destination rewritten to
-/// the requesting client) never re-enters `network`, and `hit` itself only
-/// forwards destination-preserving packets. Hosts deliver by port, tag or no
-/// tag, so an unmodified client cannot tell a hit from an origin response.
-inline std::string cache_proxy_asp(asp::net::Ipv4Addr origin, int http_port = 8080,
-                                   int entries = 256, int ttl_ms = 0) {
-  return std::string(R"(-- In-network HTTP caching proxy (DESIGN.md 6i).
-val originHost : host = )") + origin.str() + R"(
-val httpPort : int = )" + std::to_string(http_port) + R"(
-val cacheEntries : int = )" + std::to_string(entries) + R"(
-val cacheTtlMs : int = )" + std::to_string(ttl_ms) + R"(
-
--- "GET <path>" / "RSP <path> <body>": the path is word 1 either way.
-fun pathOf(body : string) : string = try strWord(body, 1) with ""
-
-channel network(ps : int, ss : unit, p : ip*udp*blob)
-initstate cacheConfigure(cacheEntries, cacheTtlMs) is
-  let val iph : ip = #1 p
-      val udph : udp = #2 p
-      val body : string = blobToString(#3 p)
-  in
-    if ipDst(iph) = originHost and udpDst(udph) = httpPort
-       and startsWith(body, "GET ") then
-      -- One non-raising lookup, empty blob = miss (not try around
-      -- cacheLookup: a try's worst case sums body and handler, so a handler
-      -- that re-sends would break the duplication analysis and one that
-      -- drops would break guaranteed delivery; and exactly one lookup call
-      -- keeps the hit/miss counters aligned with the native C++ proxy).
-      let val key : int = cacheKey("GET", originHost, pathOf(body))
-          val cached : blob = cacheGetDefault(key, blobFromString(""))
-      in
-        if blobLen(cached) > 0 then
-          (OnRemote(hit, (ipDestSet(ipSrcSet(iph, originHost), ipSrc(iph)),
-                          udpSrcSet(udpDstSet(udph, udpSrc(udph)), httpPort),
-                          cached));
-           (ps + 1, ss))
-        else (OnRemote(network, p); (ps, ss))
-      end
-    else
-      if ipSrc(iph) = originHost and udpSrc(udph) = httpPort
-         and startsWith(body, "RSP ") then
-        (cacheStore(cacheKey("GET", originHost, pathOf(body)), #3 p);
-         OnRemote(network, p); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-
--- Hits in transit: routers between the cache and the client pass them along.
-channel hit(ps : int, ss : unit, p : ip*udp*blob) is
-  (OnRemote(hit, p); (ps, ss))
-)";
-}
-
-// --- §3.3 point-to-point to multipoint MPEG -----------------------------------
-
-/// Monitor ASP: runs promiscuously on one machine of the client segment.
-/// Tracks open connections to the video server and answers client queries so
-/// a new client can join an existing stream instead of opening its own.
-inline std::string mpeg_monitor_asp(asp::net::Ipv4Addr server_host,
-                                    int ctrl_port = 9000, int query_port = 9100) {
-  return std::string(R"(-- Multipoint MPEG from a point-to-point server: monitor (paper 3.3).
--- The shared protocol state maps
---   "pending <client> <sport>" -> "<file> <vport>"        (PLAY seen)
---   "stream <file>"            -> "<client> <vport> SETUP ..." (stream live)
-val serverHost : host = )") + server_host.str() + R"(
-val ctrlPort : int = )" + std::to_string(ctrl_port) + R"(
-val queryPort : int = )" + std::to_string(query_port) + R"(
-
--- Watch control traffic crossing the segment (we see copies: promiscuous).
-channel network(ps : (string, string) hash_table, ss : unit, p : ip*tcp*blob) is
-  let val iph : ip = #1 p
-      val tcph : tcp = #2 p
-      val body : string = blobToString(#3 p)
-  in
-    if ipDst(iph) = serverHost and tcpDst(tcph) = ctrlPort
-       and startsWith(body, "PLAY ") then
-      -- "PLAY <file> <vport>"
-      (tableSet(ps, "pending " ^ hostToString(ipSrc(iph)) ^ " " ^
-                    intToString(tcpSrc(tcph)),
-                try strWord(body, 1) ^ " " ^ strWord(body, 2) with "");
-       drop(); (ps, ss))
-    else
-      if ipSrc(iph) = serverHost and tcpSrc(tcph) = ctrlPort
-         and startsWith(body, "SETUP ") then
-        -- "SETUP <file> <w> <h> <fps>": stream is live, remember where it goes
-        let val key : string = "pending " ^ hostToString(ipDst(iph)) ^ " " ^
-                               intToString(tcpDst(tcph))
-        in
-          ((try
-              let val req : string = tableGet(ps, key) in
-                (tableSet(ps, "stream " ^ strWord(req, 0),
-                          hostToString(ipDst(iph)) ^ " " ^
-                          (try strWord(req, 1) with "0") ^ " " ^ body);
-                 tableRemove(ps, key))
-              end
-            with ());
-           drop(); (ps, ss))
-        end
-      else
-        (drop(); (ps, ss))
-  end
-
--- Client queries: "QUERY <file>" -> "FOUND <client> <vport> SETUP ..." | "MISS"
-channel network(ps : (string, string) hash_table, ss : unit, p : ip*udp*blob) is
-  let val iph : ip = #1 p
-      val udph : udp = #2 p
-  in
-    if ipDst(iph) = thisHost() and udpDst(udph) = queryPort then
-      let val q : string = blobToString(#3 p)
-          val answer : string =
-            try "FOUND " ^ tableGet(ps, "stream " ^ strWord(q, 1))
-            with "MISS"
-      in
-        (OnRemote(reply, (ipDestSet(ipSrcSet(iph, thisHost()), ipSrc(iph)),
-                          udpSrcSet(udpDstSet(udph, udpSrc(udph)), queryPort),
-                          blobFromString(answer)));
-         (ps, ss))
-      end
-    else
-      (drop(); (ps, ss))
-  end
-
--- Replies ride a user channel so the destination's ASP delivers them; on the
--- monitor itself it handles loopback queries.
-channel reply(ps : (string, string) hash_table, ss : unit, p : ip*udp*blob) is
-  (deliver(p); (ps, ss))
-)";
-}
-
-/// Client-side ASP, phase 1: installed before querying the monitor; handles
-/// the monitor's reply channel only.
-inline std::string mpeg_reply_asp() {
-  return R"(-- Multipoint MPEG: client reply handler (paper 3.3).
-channel reply(ps : int, ss : unit, p : ip*udp*blob) is (deliver(p); (ps, ss))
-)";
-}
-
-/// Client-side ASP, phase 2: installed once the monitor reports an existing
-/// stream. Captures video packets addressed to the original client and
-/// delivers them to the local player.
+/// §3.3 client, phase 2: captures a shared stream for the local player.
 inline std::string mpeg_capture_asp(asp::net::Ipv4Addr shared_client,
                                     int shared_vport, int my_vport) {
-  return std::string(R"(-- Multipoint MPEG: capture packets of a shared stream (paper 3.3).
-val sharedClient : host = )") + shared_client.str() + R"(
-val sharedPort : int = )" + std::to_string(shared_vport) + R"(
-val myPort : int = )" + std::to_string(my_vport) + R"(
-
-channel reply(ps : int, ss : unit, p : ip*udp*blob) is (deliver(p); (ps, ss))
-
-channel network(ps : int, ss : unit, p : ip*udp*blob) is
-  let val iph : ip = #1 p
-      val udph : udp = #2 p
-  in
-    if ipDst(iph) = sharedClient and udpDst(udph) = sharedPort then
-      -- a copy of the shared stream: redirect it to the local player
-      (deliver((ipDestSet(iph, thisHost()), udpDstSet(udph, myPort), #3 p));
-       (ps + 1, ss))
-    else
-      if ipDst(iph) = thisHost() then (deliver(p); (ps, ss))
-      else (drop(); (ps, ss))
-  end
-)";
+  return asp_source("mpeg_capture", {{"sharedClient", shared_client.str()},
+                                     {"sharedPort", std::to_string(shared_vport)},
+                                     {"myPort", std::to_string(my_vport)}});
 }
 
 }  // namespace asp::apps

@@ -45,12 +45,12 @@ AudioExperiment::AudioExperiment(bool adaptation, planp::EngineKind engine,
     router_rt_ = std::make_unique<asp::runtime::AspRuntime>(*router_node_);
     router_rt_->set_monitored_medium(segment_);
     router_rt_->install(policy == AudioPolicy::kThreshold
-                            ? audio_router_asp()
-                            : audio_router_hysteresis_asp(),
+                            ? asp_source("audio_router")
+                            : asp_source("audio_router_hysteresis"),
                         opts);
 
     client_rt_ = std::make_unique<asp::runtime::AspRuntime>(*client_node_);
-    client_rt_->install(audio_client_asp(), opts);
+    client_rt_->install(asp_source("audio_client"), opts);
   }
 }
 

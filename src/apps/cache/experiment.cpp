@@ -64,8 +64,7 @@ void CacheExperiment::build() {
       // Unlike the load-balancing gateway, the cache proxy passes all five
       // analyses (hit replies ride the destination-preserving `hit` channel),
       // so the default verified-download path applies.
-      rt_->install(cache_proxy_asp(kOrigin, kCachePort,
-                                   static_cast<int>(opts_.cache_entries),
+      rt_->install(cache_proxy_asp(kOrigin, static_cast<int>(opts_.cache_entries),
                                    static_cast<int>(opts_.cache_ttl_ms)),
                    popts);
       break;

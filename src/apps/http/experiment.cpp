@@ -101,19 +101,10 @@ void HttpExperiment::install_asp_gateway() {
   // in the abstract); it is loaded through the authenticated path, exactly
   // the paper's provision for legitimate-but-unprovable protocols (§2.1).
   popts.require_verified = false;
-  std::string source;
-  switch (opts_.strategy) {
-    case GatewayStrategy::kModulo:
-      source = http_gateway_asp(kVirtual, kServer0, kServer1);
-      break;
-    case GatewayStrategy::kHash:
-      source = http_gateway_hash_asp(kVirtual, kServer0, kServer1);
-      break;
-    case GatewayStrategy::kFailover:
-      source = http_gateway_failover_asp(kVirtual, kServer0, kServer1);
-      break;
-  }
-  gw_rt_->install(source, popts);
+  const char* asp = opts_.strategy == GatewayStrategy::kHash       ? "http_gateway_hash"
+                    : opts_.strategy == GatewayStrategy::kFailover ? "http_gateway_failover"
+                                                                   : "http_gateway";
+  gw_rt_->install(http_gateway_asp(asp, kVirtual, kServer0, kServer1), popts);
 
   // Wrap the runtime in the CPU-cost queue.
   gateway_->set_ip_hook([this](Packet& p, asp::net::Interface&) {

@@ -45,7 +45,7 @@ MpegExperiment::MpegExperiment(bool sharing, int clients, planp::EngineKind engi
     if (sharing_) {
       cif.set_promiscuous(true);
       auto rt = std::make_unique<asp::runtime::AspRuntime>(n);
-      rt->install(mpeg_reply_asp(), popts);
+      rt->install(asp_source("mpeg_reply"), popts);
       asp::runtime::AspRuntime* rt_raw = rt.get();
       client_rts_.push_back(std::move(rt));
       install = [rt_raw, vport, this](Ipv4Addr shared_client, std::uint16_t shared_vport) {

@@ -74,15 +74,23 @@ void DeployServer::reject(std::shared_ptr<TcpConnection> conn,
 
 void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
                            std::shared_ptr<Session> s) {
-  if (s->done) return;  // trailing bytes after the reply: ignore them
+  if (s->done) {  // trailing bytes after the reply: drop them
+    s->buffer.clear();
+    return;
+  }
   if (!s->header_seen) {
     auto eol = s->buffer.find('\n');
-    if (eol == std::string::npos) return;
+    if (eol == std::string::npos) {
+      if (s->buffer.size() > kDeployMaxHeaderBytes) {
+        s->done = true;
+        reject(conn, "malformed header");
+      }
+      return;
+    }
     std::istringstream in(s->buffer.substr(0, eol));
-    std::string cmd, engine, sum;
+    std::string cmd, engine, len_field, sum;
     int auth = 0;
-    std::size_t len = 0;
-    in >> cmd >> engine >> auth >> len >> sum;
+    in >> cmd >> engine >> auth >> len_field >> sum;
     s->buffer.erase(0, eol + 1);
     if (cmd.rfind("DEPLOY", 0) != 0) {
       s->done = true;
@@ -112,12 +120,22 @@ void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
       reject(conn, "bad-engine " + engine);
       return;
     }
+    // from_chars, not operator>>: libstdc++ reads "-1" into a size_t as
+    // SIZE_MAX without failing, and the session would buffer forever.
+    auto whole = [](const std::string& f, auto& out, int base) {
+      auto [ptr, ec] = std::from_chars(f.data(), f.data() + f.size(), out, base);
+      return ec == std::errc() && ptr == f.data() + f.size();
+    };
+    std::size_t len = 0;
     std::uint64_t checksum = 0;
-    auto [ptr, ec] =
-        std::from_chars(sum.data(), sum.data() + sum.size(), checksum, 16);
-    if (ec != std::errc() || ptr != sum.data() + sum.size()) {
+    if (!whole(len_field, len, 10) || !whole(sum, checksum, 16)) {
       s->done = true;
       reject(conn, "malformed header");
+      return;
+    }
+    if (len > kDeployMaxBodyBytes) {
+      s->done = true;
+      reject(conn, "too-large " + len_field);
       return;
     }
     s->authenticated = auth != 0;

@@ -16,7 +16,10 @@
 // A header carrying any other version token draws "ERR bad-version expected
 // DEPLOY/1"; an unknown engine token draws "ERR bad-engine <token>"; a body
 // that fails its checksum draws "ERR bad-checksum" — old/new/corrupted
-// stations fail loudly instead of misparsing.
+// stations fail loudly instead of misparsing. A header longer than
+// kDeployMaxHeaderBytes or with a non-numeric length draws "ERR malformed
+// header", a length above kDeployMaxBodyBytes "ERR too-large <len>": the
+// daemon never buffers more than those caps for one session.
 //
 // Reliability: the network between station and daemon is exactly the
 // degraded network ASPs exist for, so the client side retries. Each attempt
@@ -33,6 +36,7 @@
 // convergence never double-installs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -48,6 +52,12 @@ inline constexpr std::uint16_t kDeployPort = 9199;
 
 /// The wire header tag this build speaks (protocol version 1).
 inline constexpr const char* kDeployHeaderTag = "DEPLOY/1";
+
+/// Bytes the daemon buffers looking for the header's '\n' (a well-formed
+/// header is under 64), and the largest body it accepts (shipped ASPs are a
+/// few KiB).
+inline constexpr std::size_t kDeployMaxHeaderBytes = 256;
+inline constexpr std::size_t kDeployMaxBodyBytes = std::size_t{1} << 20;
 
 /// FNV-1a 64 over the DEPLOY body; carried hex in the header's last field.
 std::uint64_t deploy_checksum(std::string_view body);

@@ -12,7 +12,7 @@ namespace {
 
 TEST(AudioPolicy, HysteresisAspPassesAllAnalyses) {
   auto r = planp::analyze(
-      planp::typecheck(planp::parse(audio_router_hysteresis_asp())));
+      planp::typecheck(planp::parse(asp_source("audio_router_hysteresis"))));
   EXPECT_TRUE(r.fully_verified())
       << r.global_termination_detail << r.delivery_detail << r.duplication_detail;
 }

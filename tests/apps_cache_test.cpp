@@ -97,7 +97,7 @@ TEST(CacheProxyAsp, PassesAllFiveAnalyses) {
   // termination scan never sees a changed cycle, and every raising primitive
   // is wrapped in try. The cost analysis must also clear the budget.
   auto report = planp::analyze(
-      planp::typecheck(planp::parse(cache_proxy_asp(ip("10.0.2.1")))));
+      planp::typecheck(planp::parse(asp_source("cache_proxy"))));
   EXPECT_TRUE(report.local_termination);
   EXPECT_TRUE(report.global_termination) << report.global_termination_detail;
   EXPECT_TRUE(report.guaranteed_delivery) << report.delivery_detail;

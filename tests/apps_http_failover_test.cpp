@@ -16,14 +16,16 @@ using asp::net::seconds;
 
 TEST(HttpStrategies, HashGatewayTypechecks) {
   auto r = planp::analyze(planp::typecheck(
-      planp::parse(http_gateway_hash_asp(ip("10.0.9.9"), ip("10.0.2.1"), ip("10.0.2.2")))));
+      planp::parse(http_gateway_asp("http_gateway_hash", ip("10.0.9.9"), ip("10.0.2.1"),
+                                    ip("10.0.2.2")))));
   EXPECT_TRUE(r.guaranteed_delivery) << r.delivery_detail;
   EXPECT_TRUE(r.linear_duplication) << r.duplication_detail;
 }
 
 TEST(HttpStrategies, FailoverGatewayTypechecks) {
   auto r = planp::analyze(planp::typecheck(planp::parse(
-      http_gateway_failover_asp(ip("10.0.9.9"), ip("10.0.2.1"), ip("10.0.2.2")))));
+      http_gateway_asp("http_gateway_failover", ip("10.0.9.9"), ip("10.0.2.1"),
+                       ip("10.0.2.2")))));
   EXPECT_TRUE(r.linear_duplication) << r.duplication_detail;
 }
 

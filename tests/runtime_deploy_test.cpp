@@ -198,6 +198,39 @@ TEST(Deploy, RetiredBytecodeEngineIsRefused) {
   EXPECT_EQ(rig.server->rejections(), 1);
 }
 
+/// Sends `bytes` to the daemon by hand: it must answer `err`, close its side
+/// of the session and install nothing.
+void expect_refused(const std::string& bytes, const std::string& err) {
+  DeployRig rig;
+  std::string reply;
+  auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
+  conn->on_established([&] { conn->send(bytes); });
+  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+    reply.append(d.begin(), d.end());
+  });
+  rig.net.run_until(rig.net.now() + seconds(2));
+  EXPECT_EQ(reply, "ERR " + err + "\n");
+  EXPECT_EQ(conn->state(), net::TcpConnection::State::kCloseWait);
+  EXPECT_EQ(rig.server->rejections(), 1);
+  EXPECT_FALSE(rig.rt->installed());
+}
+
+TEST(Deploy, NegativeLengthIsRefused) {
+  // operator>> would read "-1" into a size_t as SIZE_MAX and wait forever.
+  expect_refused("DEPLOY/1 jit 1 -1 ab\nfoo", "malformed header");
+}
+
+TEST(Deploy, OversizedLengthIsRefused) {
+  const std::string len = std::to_string(kDeployMaxBodyBytes + 1);
+  expect_refused("DEPLOY/1 jit 0 " + len + " ab\nfoo", "too-large " + len);
+}
+
+TEST(Deploy, EndlessHeaderIsRefused) {
+  // No '\n' ever arrives: the daemon stops buffering at the header cap.
+  expect_refused("DEPLOY/1 jit 0 " + std::string(4 * kDeployMaxHeaderBytes, '7'),
+                 "malformed header");
+}
+
 TEST(Deploy, ReplyParserHandlesAllShapes) {
   DeployResult ok = DeployResult::from_reply("OK 3 412.5");
   EXPECT_TRUE(ok.ok);

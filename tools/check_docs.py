@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency gate (CI: "Docs link check").
 
-Two checks, both cheap and both about drift that review misses:
+Three checks, all cheap and all about drift that review misses:
 
  1. Every relative markdown link in README.md, DESIGN.md, EXPERIMENTS.md
     and docs/*.md resolves to a file in the repo (anchors are checked
@@ -9,9 +9,14 @@ Two checks, both cheap and both about drift that review misses:
  2. Every primitive registered in src/planp/primitives.cpp appears in
     docs/ASP_GUIDE.md's reference tables — adding a primitive without
     documenting it fails CI here, not in review.
+ 3. Every backticked path under asps/, src/, tools/, tests/, examples/,
+    scenarios/ or docs/ in those docs but ROADMAP.md exists, or is the stem
+    of a file (`tools/planpc`). Patterns with *, { or < are skipped; bench/
+    is left out because metric names share that prefix.
 
 Run from the repo root: python3 tools/check_docs.py
 """
+import glob
 import os
 import re
 import sys
@@ -21,6 +26,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOC_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"]
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#+\s+(.*)$", re.M)
+FENCE_RE = re.compile(r"```.*?```", re.S)
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+PATH_PREFIXES = ("asps/", "src/", "tools/", "tests/", "examples/",
+                 "scenarios/", "docs/")
 
 
 def anchor_of(heading):
@@ -31,14 +40,18 @@ def anchor_of(heading):
     return re.sub(r"-+", "-", a)
 
 
-def check_links():
-    errors = []
+def doc_files():
     docs = list(DOC_FILES)
     docs_dir = os.path.join(ROOT, "docs")
     if os.path.isdir(docs_dir):
         docs += [os.path.join("docs", f) for f in sorted(os.listdir(docs_dir))
                  if f.endswith(".md")]
-    for doc in docs:
+    return docs
+
+
+def check_links():
+    errors = []
+    for doc in doc_files():
         path = os.path.join(ROOT, doc)
         if not os.path.exists(path):
             continue
@@ -77,13 +90,32 @@ def check_primitives_table():
             "src/planp/primitives.cpp but not documented" for p in missing]
 
 
+def check_paths():
+    errors = []
+    for doc in doc_files():
+        path = os.path.join(ROOT, doc)
+        if doc == "ROADMAP.md" or not os.path.exists(path):
+            continue
+        text = FENCE_RE.sub("", open(path, encoding="utf-8").read())
+        for span in CODE_SPAN_RE.findall(text):
+            for tok in span.split():
+                if not tok.startswith(PATH_PREFIXES) or any(c in tok for c in "*{<"):
+                    continue
+                rel = re.split(r"[#:]", tok)[0].rstrip(".,;)")
+                full = os.path.join(ROOT, rel)
+                if not os.path.exists(full) and not glob.glob(glob.escape(full) + ".*"):
+                    errors.append(f"{doc}: stale path `{tok}`")
+    return errors
+
+
 def main():
-    errors = check_links() + check_primitives_table()
+    errors = check_links() + check_primitives_table() + check_paths()
     for e in errors:
         print(f"FAIL: {e}", file=sys.stderr)
     n = len(registered_primitives())
     if not errors:
-        print(f"docs OK: links resolve, all {n} primitives documented")
+        print(f"docs OK: links resolve, all {n} primitives documented, "
+              "backticked paths exist")
     return 1 if errors else 0
 
 
