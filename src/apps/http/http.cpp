@@ -55,13 +55,13 @@ std::vector<TraceEntry> make_trace(std::size_t accesses, std::size_t files,
 
 HttpServer::HttpServer(asp::net::Node& node, Options opts) : node_(node), opts_(opts) {
   node_.tcp().listen(80, [this](std::shared_ptr<TcpConnection> conn) {
-    auto buffer = std::make_shared<std::string>();
-    conn->on_data([this, conn, buffer](const std::vector<std::uint8_t>& d) {
-      buffer->append(d.begin(), d.end());
-      auto eol = buffer->find('\n');
+    conn->on_data([this, buffer = std::string()](
+                      TcpConnection& c, const std::vector<std::uint8_t>& d) mutable {
+      buffer.append(d.begin(), d.end());
+      auto eol = buffer.find('\n');
       if (eol != std::string::npos) {
-        on_request(conn, buffer->substr(0, eol));
-        buffer->clear();
+        on_request(c.shared_from_this(), buffer.substr(0, eol));
+        buffer.clear();
       }
     });
   });
@@ -124,25 +124,25 @@ void HttpClientPool::issue(int proc) {
   SimTime started = node_.events().now();
 
   auto conn = node_.tcp().connect(server_, 80);
-  auto received = std::make_shared<std::size_t>(0);
   auto done = std::make_shared<bool>(false);
   std::uint32_t expect = entry.size;
 
-  conn->on_established([conn, path = entry.path] { conn->send("GET " + path + "\n"); });
-  conn->on_data([this, received, expect, done, started, proc,
-                 conn](const std::vector<std::uint8_t>& d) {
-    *received += d.size();
-    if (!*done && *received >= expect) {  // header + body; close-delimited
+  conn->on_established(
+      [path = entry.path](TcpConnection& c) { c.send("GET " + path + "\n"); });
+  conn->on_data([this, received = std::size_t{0}, expect, done, started, proc](
+                    TcpConnection& c, const std::vector<std::uint8_t>& d) mutable {
+    received += d.size();
+    if (!*done && received >= expect) {  // header + body; close-delimited
       *done = true;
       ++completed_;
-      bytes_received_ += *received;
+      bytes_received_ += received;
       total_latency_ms_ +=
           static_cast<double>(node_.events().now() - started) / 1e6;
-      conn->close();
+      c.close();
       issue(proc);
     }
   });
-  conn->on_closed([this, done, proc] {
+  conn->on_closed([this, done, proc](TcpConnection&) {
     if (!*done) {
       ++failed_;
       issue(proc);

@@ -13,32 +13,31 @@ MpegServer::MpegServer(asp::net::Node& node)
     : node_(node), video_out_(node, 9001, nullptr) {
   node_.tcp().listen(MpegFormat::kCtrlPort, [this](std::shared_ptr<TcpConnection> c) {
     ++accepted_;
-    auto buffer = std::make_shared<std::string>();
-    c->on_data([this, c, buffer](const std::vector<std::uint8_t>& d) {
-      buffer->append(d.begin(), d.end());
-      auto eol = buffer->find('\n');
+    c->on_data([this, buffer = std::string()](
+                   TcpConnection& conn, const std::vector<std::uint8_t>& d) mutable {
+      buffer.append(d.begin(), d.end());
+      auto eol = buffer.find('\n');
       while (eol != std::string::npos) {
-        on_control(c, buffer->substr(0, eol));
-        buffer->erase(0, eol + 1);
-        eol = buffer->find('\n');
+        on_control(conn, buffer.substr(0, eol));
+        buffer.erase(0, eol + 1);
+        eol = buffer.find('\n');
       }
     });
   });
 }
 
-void MpegServer::on_control(std::shared_ptr<TcpConnection> conn,
-                            const std::string& line) {
+void MpegServer::on_control(TcpConnection& conn, const std::string& line) {
   std::istringstream in(line);
   std::string cmd, file;
   int vport = 0;
   in >> cmd >> file >> vport;
   if (cmd == "PLAY" && !file.empty() && vport > 0) {
     std::uint64_t id = next_id_++;
-    streams_[id] = Stream{conn->remote_addr(), static_cast<std::uint16_t>(vport), 0,
+    streams_[id] = Stream{conn.remote_addr(), static_cast<std::uint16_t>(vport), 0,
                           false};
-    conn->send("SETUP " + file + " 352 240 " + std::to_string(MpegFormat::kFps) + "\n");
+    conn.send("SETUP " + file + " 352 240 " + std::to_string(MpegFormat::kFps) + "\n");
     auto self_id = id;
-    conn->on_closed([this, self_id] {
+    conn.on_closed([this, self_id](TcpConnection&) {
       auto it = streams_.find(self_id);
       if (it != streams_.end()) it->second.stopped = true;
     });
@@ -46,7 +45,7 @@ void MpegServer::on_control(std::shared_ptr<TcpConnection> conn,
   } else if (cmd == "STOP") {
     // Stop every stream to this client (simplified teardown).
     for (auto& [id, s] : streams_) {
-      if (s.client == conn->remote_addr()) s.stopped = true;
+      if (s.client == conn.remote_addr()) s.stopped = true;
     }
   }
 }
@@ -143,10 +142,10 @@ void MpegClient::connect_to_server() {
   if (playing_) return;
   playing_ = true;
   ctrl_ = node_.tcp().connect(server_, MpegFormat::kCtrlPort);
-  ctrl_->on_established([this] {
-    ctrl_->send("PLAY " + file_ + " " + std::to_string(vport_) + "\n");
+  ctrl_->on_established([this](TcpConnection& c) {
+    c.send("PLAY " + file_ + " " + std::to_string(vport_) + "\n");
   });
-  ctrl_->on_data([this](const std::vector<std::uint8_t>& d) {
+  ctrl_->on_data([this](TcpConnection&, const std::vector<std::uint8_t>& d) {
     setup_ += asp::net::string_of(d);
   });
 }

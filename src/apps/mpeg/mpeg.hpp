@@ -53,7 +53,7 @@ class MpegServer {
     bool stopped = false;
   };
 
-  void on_control(std::shared_ptr<asp::net::TcpConnection> conn, const std::string& line);
+  void on_control(asp::net::TcpConnection& conn, const std::string& line);
   void stream_tick(std::uint64_t id);
 
   asp::net::Node& node_;

@@ -24,8 +24,6 @@ TcpConnection::TcpConnection(TcpStack& stack, Ipv4Addr local, std::uint16_t lpor
   reg.counter(prefix + "connections").inc();
 }
 
-TcpConnection::~TcpConnection() = default;
-
 void TcpConnection::start_connect() {
   state_ = State::kSynSent;
   iss_ = 1;
@@ -158,7 +156,7 @@ void TcpConnection::handle(const Packet& p) {
         snd_una_ = h.ack;
         state_ = State::kEstablished;
         emit(tcpflag::kAck, snd_nxt_, {});
-        if (established_cb_) established_cb_();
+        if (established_cb_) established_cb_(*this);
         pump();
       }
       return;
@@ -166,7 +164,7 @@ void TcpConnection::handle(const Packet& p) {
       if (h.has(tcpflag::kAck) && h.ack == iss_ + 1) {
         snd_una_ = h.ack;
         state_ = State::kEstablished;
-        if (established_cb_) established_cb_();
+        if (established_cb_) established_cb_(*this);
         pump();
         // Fall through to process any piggybacked data below.
       } else if (h.has(tcpflag::kSyn)) {
@@ -220,7 +218,8 @@ void TcpConnection::handle(const Packet& p) {
       bytes_received_ += p.payload.size();
       m_rx_bytes_->inc(p.payload.size());
       emit(tcpflag::kAck, snd_nxt_, {});
-      if (data_cb_) data_cb_(p.payload.bytes());
+      // An on_established that aborted the connection gets no data after it.
+      if (data_cb_ && state_ != State::kClosed) data_cb_(*this, p.payload.bytes());
     } else {
       // Out of order / duplicate: re-ACK what we expect.
       emit(tcpflag::kAck, snd_nxt_, {});
@@ -254,23 +253,11 @@ void TcpConnection::finish(bool notify) {
     stack_.node().events().cancel(rto_timer_);
     timer_armed_ = false;
   }
-  auto self = shared_from_this();  // keep alive through callbacks
+  auto self = shared_from_this();  // dropping it from the stack may free it
   stack_.drop(*this);
-  // Clear the handlers: they commonly capture shared_ptrs back to this very
-  // connection (deploy sessions, HTTP clients), and a closed connection must
-  // not keep such reference cycles alive. The callables are destroyed from a
-  // fresh event rather than here, because one of them may be the function
-  // currently executing (abort() called from inside on_established/on_data).
-  auto closed = std::move(closed_cb_);
-  if (established_cb_ || data_cb_) {
-    stack_.node().events().schedule_in(
-        0, [graveyard_e = std::move(established_cb_),
-            graveyard_d = std::move(data_cb_)] {});
-  }
-  established_cb_ = nullptr;
-  data_cb_ = nullptr;
-  closed_cb_ = nullptr;
-  if (notify && closed) closed();
+  // The callbacks stay: a closed connection is unreachable from packets and
+  // timers, so they simply die with it.
+  if (notify && closed_cb_) closed_cb_(*this);
 }
 
 void TcpStack::listen(std::uint16_t port, AcceptHandler on_accept) {

@@ -11,6 +11,16 @@
 // arrive as ordinary packet deliveries on this shard's queue. A connection's
 // two endpoints may live on different shards; they only ever interact
 // through transmitted packets, never by touching each other's state.
+//
+// Ownership (DESIGN.md §6d): the TcpStack owns every open connection. The
+// established/data/closed callbacks receive the connection they fire on, so
+// nothing registered on a connection captures that connection. Anyone else
+// that must reach it later (a service queue, a watchdog, a client's control
+// channel) holds a shared_ptr from outside. A connection is freed once
+// finish() has removed it from the stack and the last outside holder lets
+// go; there is no reference cycle to break. A pending retransmit timer is
+// such a holder and may outlive the stack at teardown, so ~TcpConnection
+// never touches the stack.
 #pragma once
 
 #include <cstdint>
@@ -42,13 +52,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
     kLastAck,
   };
 
-  using DataHandler = std::function<void(const std::vector<std::uint8_t>&)>;
-  using EventHandler = std::function<void()>;
+  using DataHandler =
+      std::function<void(TcpConnection&, const std::vector<std::uint8_t>&)>;
+  using EventHandler = std::function<void(TcpConnection&)>;
 
   static constexpr std::uint32_t kMss = 1460;
   static constexpr std::uint32_t kMaxWnd = 64 * 1024;
-
-  ~TcpConnection();
 
   /// Queues application data for reliable delivery.
   void send(std::vector<std::uint8_t> data);

@@ -49,74 +49,66 @@ DeployServer::DeployServer(AspRuntime& runtime, std::uint16_t port)
   m_rx_bytes_ = &reg.counter(prefix + "rx_bytes");
 
   runtime_.node().tcp().listen(port, [this](std::shared_ptr<TcpConnection> conn) {
-    auto session = std::make_shared<Session>();
-    // The connection owns this callback, so capturing it strongly here would
-    // be a reference cycle that leaks every session; the TCP stack keeps the
-    // connection alive while it is open.
-    std::weak_ptr<TcpConnection> weak = conn;
-    conn->on_data([this, weak, session](const std::vector<std::uint8_t>& d) {
-      auto c = weak.lock();
-      if (!c) return;
-      session->buffer.append(d.begin(), d.end());
+    conn->on_data([this, session = Session()](TcpConnection& c,
+                                              const std::vector<std::uint8_t>& d) mutable {
+      session.buffer.append(d.begin(), d.end());
       m_rx_bytes_->inc(d.size());
-      on_data(std::move(c), session);
+      on_data(c, session);
     });
   });
 }
 
-void DeployServer::reject(std::shared_ptr<TcpConnection> conn,
-                          const std::string& reason) {
+void DeployServer::reject(TcpConnection& conn, const std::string& reason) {
   ++rejections_;
   m_rejections_->inc();
-  conn->send("ERR " + reason + "\n");
-  conn->close();
+  conn.send("ERR " + reason + "\n");
+  conn.close();
 }
 
-void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
-                           std::shared_ptr<Session> s) {
-  if (s->done) {  // trailing bytes after the reply: drop them
-    s->buffer.clear();
+void DeployServer::on_data(TcpConnection& conn, Session& s) {
+  if (s.done) {  // trailing bytes after the reply: drop them
+    s.buffer.clear();
     return;
   }
-  if (!s->header_seen) {
-    auto eol = s->buffer.find('\n');
+  if (!s.header_seen) {
+    auto eol = s.buffer.find('\n');
     if (eol == std::string::npos) {
-      if (s->buffer.size() > kDeployMaxHeaderBytes) {
-        s->done = true;
+      if (s.buffer.size() > kDeployMaxHeaderBytes) {
+        s.done = true;
         reject(conn, "malformed header");
       }
       return;
     }
-    std::istringstream in(s->buffer.substr(0, eol));
+    std::istringstream in(s.buffer.substr(0, eol));
     std::string cmd, engine, len_field, sum;
     int auth = 0;
     in >> cmd >> engine >> auth >> len_field >> sum;
-    s->buffer.erase(0, eol + 1);
+    s.buffer.erase(0, eol + 1);
     if (cmd.rfind("DEPLOY", 0) != 0) {
-      s->done = true;
+      s.done = true;
       reject(conn, "malformed header");
       return;
     }
     if (cmd != kDeployHeaderTag) {
       // A DEPLOY header speaking another (or no) version: refuse loudly
       // rather than guessing at its framing.
-      s->done = true;
+      s.done = true;
       reject(conn, std::string("bad-version expected ") + kDeployHeaderTag);
       return;
     }
     if (in.fail()) {
-      s->done = true;
+      s.done = true;
       reject(conn, "malformed header");
       return;
     }
     if (engine == "interp") {
-      s->engine = planp::EngineKind::kInterp;
+      s.engine = planp::EngineKind::kInterp;
     } else if (engine == "jit") {
-      s->engine = planp::EngineKind::kJit;
+      s.engine = planp::EngineKind::kJit;
     } else {
       // An unknown token ("jitt", "") used to fall through silently to kJit;
       // reject it so a typo'd station learns immediately.
-      s->done = true;
+      s.done = true;
       reject(conn, "bad-engine " + engine);
       return;
     }
@@ -129,27 +121,27 @@ void DeployServer::on_data(std::shared_ptr<TcpConnection> conn,
     std::size_t len = 0;
     std::uint64_t checksum = 0;
     if (!whole(len_field, len, 10) || !whole(sum, checksum, 16)) {
-      s->done = true;
+      s.done = true;
       reject(conn, "malformed header");
       return;
     }
     if (len > kDeployMaxBodyBytes) {
-      s->done = true;
+      s.done = true;
       reject(conn, "too-large " + len_field);
       return;
     }
-    s->authenticated = auth != 0;
-    s->expect = len;
-    s->checksum = checksum;
-    s->header_seen = true;
+    s.authenticated = auth != 0;
+    s.expect = len;
+    s.checksum = checksum;
+    s.header_seen = true;
   }
-  if (s->buffer.size() >= s->expect) {
-    s->done = true;  // set before finish: install callbacks must not re-enter
-    finish(conn, *s);
+  if (s.buffer.size() >= s.expect) {
+    s.done = true;  // set before finish: install callbacks must not re-enter
+    finish(conn, s);
   }
 }
 
-void DeployServer::finish(std::shared_ptr<TcpConnection> conn, const Session& s) {
+void DeployServer::finish(TcpConnection& conn, const Session& s) {
   const std::string body = s.buffer.substr(0, s.expect);
   if (deploy_checksum(body) != s.checksum) {
     // The body that arrived is not the body the station framed: corrupted in
@@ -163,8 +155,8 @@ void DeployServer::finish(std::shared_ptr<TcpConnection> conn, const Session& s)
     // its OK reply was lost. Replay the reply; do not install twice.
     ++dedups_;
     m_dedups_->inc();
-    conn->send(cached_reply_);
-    conn->close();
+    conn.send(cached_reply_);
+    conn.close();
     return;
   }
   planp::Protocol::Options opts;
@@ -182,8 +174,8 @@ void DeployServer::finish(std::shared_ptr<TcpConnection> conn, const Session& s)
                         " " + std::to_string(codegen_us) + "\n";
     installed_key_ = key;
     cached_reply_ = reply;
-    conn->send(reply);
-    conn->close();
+    conn.send(reply);
+    conn.close();
   } catch (const planp::VerificationError& e) {
     // "reject:" marks a verdict computed over a checksum-verified body — the
     // one class of error a client should NOT retry (see transient_failure).
@@ -230,7 +222,6 @@ struct DeployJob {
   Deployer::Callback cb;
   bool settled = false;
   int attempts = 0;
-  std::shared_ptr<TcpConnection> conn;  // current attempt's connection
   obs::Counter* m_attempts = nullptr;
   obs::Counter* m_retries = nullptr;
   obs::Counter* m_successes = nullptr;
@@ -255,7 +246,6 @@ bool transient_failure(const DeployResult& r) {
 void settle(const std::shared_ptr<DeployJob>& job, DeployResult r) {
   if (job->settled) return;
   job->settled = true;
-  job->conn.reset();
   r.attempts = job->attempts;
   (r.ok ? job->m_successes : job->m_failures)->inc();
   if (job->cb) job->cb(r);
@@ -267,7 +257,6 @@ void start_attempt(const std::shared_ptr<DeployJob>& job);
 /// or settles with a terminal error once the budget is spent.
 void retry_or_fail(const std::shared_ptr<DeployJob>& job, const std::string& err) {
   if (job->settled) return;
-  job->conn.reset();
   if (job->attempts >= job->opts.max_attempts) {
     DeployResult r;
     r.error = err + " (gave up after " + std::to_string(job->attempts) +
@@ -287,46 +276,45 @@ void start_attempt(const std::shared_ptr<DeployJob>& job) {
   ++job->attempts;
   job->m_attempts->inc();
   auto conn = job->node->tcp().connect(job->target, job->opts.port);
-  job->conn = conn;
   // `live` scopes the callbacks and the timeout to THIS attempt: once the
   // attempt is decided (reply, death, or deadline), stragglers are inert.
   auto live = std::make_shared<bool>(true);
-  auto reply = std::make_shared<std::string>();
-  std::weak_ptr<TcpConnection> weak = conn;  // no conn->conn capture cycles
 
-  conn->on_established([job, weak, live] {
+  conn->on_established([job, live](TcpConnection& c) {
     if (job->settled || !*live) return;
-    if (auto c = weak.lock()) c->send(job->message);
+    c.send(job->message);
   });
-  conn->on_data([job, weak, live, reply](const std::vector<std::uint8_t>& d) {
+  conn->on_data([job, live, reply = std::string()](
+                    TcpConnection& c, const std::vector<std::uint8_t>& d) mutable {
     if (job->settled || !*live) return;
-    reply->append(d.begin(), d.end());
-    auto eol = reply->find('\n');
+    reply.append(d.begin(), d.end());
+    auto eol = reply.find('\n');
     if (eol == std::string::npos) return;
     *live = false;
-    DeployResult r = DeployResult::from_reply(reply->substr(0, eol));
+    DeployResult r = DeployResult::from_reply(reply.substr(0, eol));
     if (transient_failure(r)) {
       // A corrupted exchange (the reply itself may be damaged goods): tear
       // the connection down and try again.
       retry_or_fail(job, r.error);
-      if (auto c = weak.lock()) c->abort();
+      c.abort();
       return;
     }
     settle(job, std::move(r));
-    if (auto c = weak.lock()) c->close();
+    c.close();
   });
-  conn->on_closed([job, live] {
+  conn->on_closed([job, live](TcpConnection&) {
     if (job->settled || !*live) return;
     *live = false;
     retry_or_fail(job, "connection closed");
   });
   // Attempt deadline: a dropped SYN the TCP layer is still grinding on, or a
   // daemon that accepted and went silent, must not hang the callback forever.
-  job->node->events().schedule_in(job->opts.attempt_timeout, [job, weak, live] {
+  // The deadline holds the attempt's connection until it fires.
+  job->node->events().schedule_in(job->opts.attempt_timeout, [job, conn, live] {
     if (job->settled || !*live) return;
     *live = false;
     retry_or_fail(job, "timeout");
-    if (auto c = weak.lock()) c->abort();
+    conn->abort();
   });
 }
 

@@ -84,11 +84,9 @@ class DeployServer {
     std::uint64_t checksum = 0;
   };
 
-  void on_data(std::shared_ptr<asp::net::TcpConnection> conn,
-               std::shared_ptr<Session> s);
-  void finish(std::shared_ptr<asp::net::TcpConnection> conn, const Session& s);
-  void reject(std::shared_ptr<asp::net::TcpConnection> conn,
-              const std::string& reason);
+  void on_data(asp::net::TcpConnection& conn, Session& s);
+  void finish(asp::net::TcpConnection& conn, const Session& s);
+  void reject(asp::net::TcpConnection& conn, const std::string& reason);
 
   AspRuntime& runtime_;
   int deployments_ = 0;

@@ -158,21 +158,18 @@ class ClientBundle {
     return rng_;
   }
 
-  /// Resamples the bundle timer for the current thinking count. Bumping
-  /// `gen_` orphans any previously scheduled fire (memorylessness makes the
-  /// fresh draw statistically equivalent to continuing the old one).
+  /// Resamples the bundle timer for the current thinking count, cancelling
+  /// the superseded fire (memorylessness makes the fresh draw statistically
+  /// equivalent to continuing the old one).
   void schedule_next() {
-    ++gen_;
+    node_.events().cancel(timer_);  // a no-op once the timer has fired
     if (thinking_ == 0) return;  // every user is waiting on a response
     double u = static_cast<double>(next_rng() >> 11) * 0x1.0p-53;
     if (u <= 0) u = 0x1.0p-53;
     double dt = think_mean_ns_ * -std::log(u) / static_cast<double>(thinking_);
     auto delay = static_cast<SimTime>(dt);
     if (delay < 1) delay = 1;
-    const std::uint64_t gen = gen_;
-    node_.events().schedule_in(delay, [this, gen] {
-      if (gen == gen_) fire();
-    });
+    timer_ = node_.events().schedule_in(delay, [this] { fire(); });
   }
 
   void fire() {
@@ -244,7 +241,7 @@ class ClientBundle {
   std::uint64_t thinking_;
   std::uint64_t rng_;
   double think_mean_ns_;
-  std::uint64_t gen_ = 0;
+  net::EventId timer_ = 0;
   std::uint64_t seq_ = 0;
   std::vector<Pending> inflight_;  // FIFO by sent time; linear scan is fine
                                    // (|inflight| <= users per bundle, tens)

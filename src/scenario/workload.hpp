@@ -10,9 +10,8 @@
 // timers — so the bundle needs exactly one pending timer regardless of U.
 // When n changes (a request leaves, a response or timeout returns a user to
 // thinking), the timer is resampled; the exponential's memorylessness makes
-// that statistically equivalent to keeping per-user timers. One generation
-// counter invalidates superseded timer events (the queue has no cheap
-// cancel for plain closures).
+// that statistically equivalent to keeping per-user timers. The superseded
+// timer event is cancelled (EventQueue::cancel is O(1)).
 //
 // Traffic is ASP-shaped: a request is one small UDP datagram to a server
 // drawn deterministically from the bundle's xorshift64 stream; the server

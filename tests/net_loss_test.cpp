@@ -16,7 +16,7 @@ TEST(LossInjection, DropsApproximatelyTheConfiguredFraction) {
   Node& a = net.add_node("a");
   Node& b = net.add_node("b");
   auto& l = net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 100e6, millis(1));
-  l.set_loss_rate(0.25);
+  l.set_impairments({.loss_rate = 0.25});
 
   int got = 0;
   UdpSocket sink(b, 7, [&](const Packet&) { ++got; });
@@ -49,22 +49,22 @@ TEST_P(TcpLossSweep, BulkTransferSurvivesLoss) {
   Node& a = net.add_node("a");
   Node& b = net.add_node("b");
   auto& l = net.link(a, ip("10.0.0.1"), b, ip("10.0.0.2"), 10e6, millis(2));
-  l.set_loss_rate(loss);
+  l.set_impairments({.loss_rate = loss});
 
   std::vector<std::uint8_t> sent(60'000);
   std::iota(sent.begin(), sent.end(), 0);
   std::vector<std::uint8_t> got;
   bool closed = false;
   b.tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([&](const std::vector<std::uint8_t>& d) {
+    c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) {
       got.insert(got.end(), d.begin(), d.end());
     });
-    c->on_closed([&] { closed = true; });
+    c->on_closed([&](TcpConnection&) { closed = true; });
   });
   auto c = a.tcp().connect(b.addr(), 80);
-  c->on_established([&] {
-    c->send(sent);
-    c->close();
+  c->on_established([&](TcpConnection& conn) {
+    conn.send(sent);
+    conn.close();
   });
   net.run_until(seconds(120));
 
@@ -84,7 +84,7 @@ TEST(LossInjection, AudioOverLossyUplinkDegradesGracefully) {
   Node& src = net.add_node("src");
   Node& dst = net.add_node("dst");
   auto& l = net.link(src, ip("10.0.0.1"), dst, ip("10.0.0.2"), 10e6, millis(1));
-  l.set_loss_rate(0.10);
+  l.set_impairments({.loss_rate = 0.10});
   int got = 0;
   UdpSocket sink(dst, 5004, [&](const Packet&) { ++got; });
   UdpSocket out(src, 5004, nullptr);

@@ -22,16 +22,16 @@ struct Pair {
 TEST(TcpEdge, SenderGivesUpOnDeadPeer) {
   Pair p;
   p.b->tcp().listen(80, [](std::shared_ptr<TcpConnection> c) {
-    c->on_data([c](const std::vector<std::uint8_t>&) {});
+    c->on_data([](TcpConnection&, const std::vector<std::uint8_t>&) {});
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
   bool closed = false;
-  c->on_closed([&] { closed = true; });
-  c->on_established([&] {
+  c->on_closed([&](TcpConnection&) { closed = true; });
+  c->on_established([&](TcpConnection& conn) {
     // Peer crashes the instant the handshake completes: no RST, no FIN —
     // everything sent from here on falls into a black hole.
     p.b->set_ip_hook([](Packet&, Interface&) { return true; });
-    c->send(std::vector<std::uint8_t>(10'000, 1));
+    conn.send(std::vector<std::uint8_t>(10'000, 1));
   });
   p.net.run_until(seconds(60));
   EXPECT_TRUE(closed);  // retry cap fired
@@ -43,7 +43,7 @@ TEST(TcpEdge, ConnectToNowhereEventuallyCloses) {
   Pair p;
   auto c = p.a->tcp().connect(ip("10.0.0.99"), 80);  // no such host
   bool closed = false;
-  c->on_closed([&] { closed = true; });
+  c->on_closed([&](TcpConnection&) { closed = true; });
   p.net.run_until(seconds(60));
   EXPECT_TRUE(closed);
   EXPECT_EQ(p.a->tcp().open_connections(), 0u);
@@ -53,7 +53,7 @@ TEST(TcpEdge, AbortDropsStateImmediately) {
   Pair p;
   p.b->tcp().listen(80, [](std::shared_ptr<TcpConnection>) {});
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] { c->abort(); });
+  c->on_established([](TcpConnection& conn) { conn.abort(); });
   p.net.run_until(seconds(1));
   EXPECT_EQ(p.a->tcp().open_connections(), 0u);
   EXPECT_EQ(c->state(), TcpConnection::State::kClosed);
@@ -70,7 +70,7 @@ TEST(TcpEdge, StopListeningRefusesNewConnections) {
   p.b->tcp().stop_listening(80);
   auto c2 = p.a->tcp().connect(p.b->addr(), 80);
   bool est2 = false;
-  c2->on_established([&] { est2 = true; });
+  c2->on_established([&](TcpConnection&) { est2 = true; });
   p.net.run_until(seconds(30));
   EXPECT_EQ(accepted, 1);
   EXPECT_FALSE(est2);
@@ -80,18 +80,18 @@ TEST(TcpEdge, SequentialConnectionsFromSameClient) {
   Pair p;
   int served = 0;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([c, &served](const std::vector<std::uint8_t>&) {
+    c->on_data([&served](TcpConnection& conn, const std::vector<std::uint8_t>&) {
       ++served;
-      c->send("done");
-      c->close();
+      conn.send("done");
+      conn.close();
     });
   });
   std::function<void(int)> issue = [&](int remaining) {
     if (remaining == 0) return;
     auto c = p.a->tcp().connect(p.b->addr(), 80);
-    c->on_established([c] { c->send("req"); });
-    c->on_data([c, &issue, remaining](const std::vector<std::uint8_t>&) {
-      c->close();
+    c->on_established([](TcpConnection& conn) { conn.send("req"); });
+    c->on_data([&issue, remaining](TcpConnection& conn, const std::vector<std::uint8_t>&) {
+      conn.close();
       issue(remaining - 1);
     });
   };
@@ -106,12 +106,12 @@ TEST(TcpEdge, EmptySendIsANoop) {
   Pair p;
   std::size_t got = 0;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([&](const std::vector<std::uint8_t>& d) { got += d.size(); });
+    c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) { got += d.size(); });
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] {
-    c->send(std::vector<std::uint8_t>{});
-    c->send("x");
+  c->on_established([](TcpConnection& conn) {
+    conn.send(std::vector<std::uint8_t>{});
+    conn.send("x");
   });
   p.net.run_until(seconds(2));
   EXPECT_EQ(got, 1u);
@@ -121,13 +121,13 @@ TEST(TcpEdge, SendAfterCloseIsIgnored) {
   Pair p;
   std::size_t got = 0;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([&](const std::vector<std::uint8_t>& d) { got += d.size(); });
+    c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) { got += d.size(); });
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] {
-    c->send("ok");
-    c->close();
-    c->send("after-close-must-not-arrive");
+  c->on_established([](TcpConnection& conn) {
+    conn.send("ok");
+    conn.close();
+    conn.send("after-close-must-not-arrive");
   });
   p.net.run_until(seconds(5));
   EXPECT_EQ(got, 2u);
@@ -139,11 +139,15 @@ TEST(TcpEdge, BidirectionalSimultaneousTransfer) {
   std::size_t got_at_b = 0, got_at_a = 0;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
     c->send(blob_b);
-    c->on_data([&](const std::vector<std::uint8_t>& d) { got_at_b += d.size(); });
+    c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) {
+      got_at_b += d.size();
+    });
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] { c->send(blob_a); });
-  c->on_data([&](const std::vector<std::uint8_t>& d) { got_at_a += d.size(); });
+  c->on_established([&](TcpConnection& conn) { conn.send(blob_a); });
+  c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) {
+    got_at_a += d.size();
+  });
   p.net.run_until(seconds(30));
   EXPECT_EQ(got_at_b, blob_a.size());
   EXPECT_EQ(got_at_a, blob_b.size());

@@ -27,10 +27,10 @@ TEST(Tcp, HandshakeEstablishesBothEnds) {
   Pair p;
   bool server_est = false, client_est = false;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_established([&] { server_est = true; });
+    c->on_established([&](TcpConnection&) { server_est = true; });
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] { client_est = true; });
+  c->on_established([&](TcpConnection&) { client_est = true; });
   p.net.run();
   EXPECT_TRUE(server_est);
   EXPECT_TRUE(client_est);
@@ -41,7 +41,7 @@ TEST(Tcp, ConnectToClosedPortNeverEstablishes) {
   Pair p;
   bool est = false;
   auto c = p.a->tcp().connect(p.b->addr(), 81);
-  c->on_established([&] { est = true; });
+  c->on_established([&](TcpConnection&) { est = true; });
   p.net.run_until(seconds(2));
   EXPECT_FALSE(est);
 }
@@ -50,14 +50,16 @@ TEST(Tcp, TransfersSmallMessageBothWays) {
   Pair p;
   std::string at_server, at_client;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([&, c](const std::vector<std::uint8_t>& d) {
+    c->on_data([&](TcpConnection& conn, const std::vector<std::uint8_t>& d) {
       at_server += string_of(d);
-      c->send("pong");
+      conn.send("pong");
     });
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] { c->send("ping"); });
-  c->on_data([&](const std::vector<std::uint8_t>& d) { at_client += string_of(d); });
+  c->on_established([](TcpConnection& conn) { conn.send("ping"); });
+  c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) {
+    at_client += string_of(d);
+  });
   p.net.run();
   EXPECT_EQ(at_server, "ping");
   EXPECT_EQ(at_client, "pong");
@@ -69,12 +71,12 @@ TEST(Tcp, TransfersBulkDataIntact) {
   std::iota(sent.begin(), sent.end(), 0);
   std::vector<std::uint8_t> got;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([&](const std::vector<std::uint8_t>& d) {
+    c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) {
       got.insert(got.end(), d.begin(), d.end());
     });
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] { c->send(sent); });
+  c->on_established([&](TcpConnection& conn) { conn.send(sent); });
   p.net.run_until(seconds(10));
   EXPECT_EQ(got, sent);
 }
@@ -85,13 +87,13 @@ TEST(Tcp, BulkThroughputApproachesLinkRate) {
   std::size_t got = 0;
   SimTime done_at = 0;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([&](const std::vector<std::uint8_t>& d) {
+    c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) {
       got += d.size();
       if (got == sent.size()) done_at = p.net.now();
     });
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] { c->send(sent); });
+  c->on_established([&](TcpConnection& conn) { conn.send(sent); });
   p.net.run_until(seconds(30));
   ASSERT_EQ(got, sent.size());
   double goodput = 8.0 * static_cast<double>(got) / to_seconds(done_at);
@@ -104,12 +106,12 @@ TEST(Tcp, RecoversFromLossViaRetransmission) {
   std::vector<std::uint8_t> sent(100'000, 0xAB);
   std::vector<std::uint8_t> got;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([&](const std::vector<std::uint8_t>& d) {
+    c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) {
       got.insert(got.end(), d.begin(), d.end());
     });
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] { c->send(sent); });
+  c->on_established([&](TcpConnection& conn) { conn.send(sent); });
   p.net.run_until(seconds(60));
   EXPECT_EQ(got.size(), sent.size());
   EXPECT_GT(c->retransmissions(), 0u);
@@ -120,18 +122,18 @@ TEST(Tcp, CloseCompletesAfterDataDelivered) {
   std::string got;
   bool server_closed = false, client_closed = false;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([&, c](const std::vector<std::uint8_t>& d) {
+    c->on_data([&](TcpConnection& conn, const std::vector<std::uint8_t>& d) {
       got += string_of(d);
-      c->close();  // respond to client close with our own
+      conn.close();  // respond to client close with our own
     });
-    c->on_closed([&] { server_closed = true; });
+    c->on_closed([&](TcpConnection&) { server_closed = true; });
   });
   auto c = p.a->tcp().connect(p.b->addr(), 80);
-  c->on_established([&] {
-    c->send("bye");
-    c->close();
+  c->on_established([](TcpConnection& conn) {
+    conn.send("bye");
+    conn.close();
   });
-  c->on_closed([&] { client_closed = true; });
+  c->on_closed([&](TcpConnection&) { client_closed = true; });
   p.net.run_until(seconds(5));
   EXPECT_EQ(got, "bye");
   EXPECT_TRUE(client_closed);
@@ -144,9 +146,9 @@ TEST(Tcp, ManyConcurrentConnectionsAreDemuxedIndependently) {
   Pair p;
   int completed = 0;
   p.b->tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([c](const std::vector<std::uint8_t>& d) {
-      c->send(d);  // echo
-      c->close();
+    c->on_data([](TcpConnection& conn, const std::vector<std::uint8_t>& d) {
+      conn.send(d);  // echo
+      conn.close();
     });
   });
   constexpr int kConns = 20;
@@ -154,8 +156,8 @@ TEST(Tcp, ManyConcurrentConnectionsAreDemuxedIndependently) {
   for (int i = 0; i < kConns; ++i) {
     auto c = p.a->tcp().connect(p.b->addr(), 80);
     std::string msg = "msg-" + std::to_string(i);
-    c->on_established([c, msg] { c->send(msg); });
-    c->on_data([&, msg](const std::vector<std::uint8_t>& d) {
+    c->on_established([msg](TcpConnection& conn) { conn.send(msg); });
+    c->on_data([&, msg](TcpConnection&, const std::vector<std::uint8_t>& d) {
       EXPECT_EQ(string_of(d), msg);
       ++completed;
     });
@@ -201,11 +203,13 @@ TEST(Tcp, WorksThroughAnAddressRewritingGateway) {
 
   std::string got;
   server.tcp().listen(80, [&](std::shared_ptr<TcpConnection> c) {
-    c->on_data([c](const std::vector<std::uint8_t>&) { c->send("response"); });
+    c->on_data([](TcpConnection& conn, const std::vector<std::uint8_t>&) {
+      conn.send("response");
+    });
   });
   auto c = client.tcp().connect(virtual_ip, 80);
-  c->on_established([&] { c->send("request"); });
-  c->on_data([&](const std::vector<std::uint8_t>& d) { got += string_of(d); });
+  c->on_established([](TcpConnection& conn) { conn.send("request"); });
+  c->on_data([&](TcpConnection&, const std::vector<std::uint8_t>& d) { got += string_of(d); });
   net.run_until(seconds(5));
   EXPECT_EQ(got, "response");
 }

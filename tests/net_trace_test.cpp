@@ -77,12 +77,12 @@ TEST(PacketTracer, TracesTcpHandshake) {
   at_b.attach(b);
 
   b.tcp().listen(80, [](std::shared_ptr<TcpConnection> c) {
-    c->on_data([c](const std::vector<std::uint8_t>&) { c->close(); });
+    c->on_data([](TcpConnection& conn, const std::vector<std::uint8_t>&) { conn.close(); });
   });
   auto c = a.tcp().connect(b.addr(), 80);
-  c->on_established([&] {
-    c->send("hi");
-    c->close();
+  c->on_established([](TcpConnection& conn) {
+    conn.send("hi");
+    conn.close();
   });
   net.run_until(seconds(5));
 

@@ -152,10 +152,10 @@ TEST(DeployChaos, CorruptBodyIsRejectedByChecksum) {
   ChaosRig rig;
   std::string reply;
   auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
-  conn->on_established([&] {
-    conn->send(std::string("DEPLOY/1 jit 0 3 0123456789abcdef\nfoo"));
+  conn->on_established([&](net::TcpConnection& c) {
+    c.send(std::string("DEPLOY/1 jit 0 3 0123456789abcdef\nfoo"));
   });
-  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+  conn->on_data([&](net::TcpConnection&, const std::vector<std::uint8_t>& d) {
     reply.append(d.begin(), d.end());
   });
   rig.net.run_until(rig.net.now() + seconds(2));
@@ -172,10 +172,10 @@ TEST(DeployChaos, UnknownEngineTokenIsRefused) {
   std::string body = "foo";
   std::string reply;
   auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
-  conn->on_established([&] {
-    conn->send("DEPLOY/1 jitt 0 3 " + hex64(deploy_checksum(body)) + "\n" + body);
+  conn->on_established([&](net::TcpConnection& c) {
+    c.send("DEPLOY/1 jitt 0 3 " + hex64(deploy_checksum(body)) + "\n" + body);
   });
-  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+  conn->on_data([&](net::TcpConnection&, const std::vector<std::uint8_t>& d) {
     reply.append(d.begin(), d.end());
   });
   rig.net.run_until(rig.net.now() + seconds(2));
@@ -195,14 +195,14 @@ TEST(DeployChaos, FragmentedDeployWithTrailingBytesInstallsOnce) {
                        hex64(deploy_checksum(body)) + "\n";
   std::string reply;
   auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
-  conn->on_established([&] {
-    conn->send(header.substr(0, 9));
-    conn->send(header.substr(9));
-    conn->send(body.substr(0, 17));
-    conn->send(body.substr(17));
-    conn->send(std::string("trailing junk that must not re-trigger install"));
+  conn->on_established([&](net::TcpConnection& c) {
+    c.send(header.substr(0, 9));
+    c.send(header.substr(9));
+    c.send(body.substr(0, 17));
+    c.send(body.substr(17));
+    c.send(std::string("trailing junk that must not re-trigger install"));
   });
-  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+  conn->on_data([&](net::TcpConnection&, const std::vector<std::uint8_t>& d) {
     reply.append(d.begin(), d.end());
   });
   rig.net.run_until(rig.net.now() + seconds(2));

@@ -151,8 +151,9 @@ TEST(Deploy, WrongWireVersionIsRefused) {
   // with a clear bad-version error, not try to parse the body.
   std::string reply;
   auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
-  conn->on_established([&] { conn->send(std::string("DEPLOY/9 jit 0 3\nfoo")); });
-  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+  conn->on_established(
+      [](net::TcpConnection& c) { c.send(std::string("DEPLOY/9 jit 0 3\nfoo")); });
+  conn->on_data([&](net::TcpConnection&, const std::vector<std::uint8_t>& d) {
     reply.append(d.begin(), d.end());
   });
   rig.net.run_until(rig.net.now() + seconds(2));
@@ -169,8 +170,9 @@ TEST(Deploy, UnversionedLegacyHeaderIsRefused) {
   DeployRig rig;
   std::string reply;
   auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
-  conn->on_established([&] { conn->send(std::string("DEPLOY jit 0 3\nfoo")); });
-  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+  conn->on_established(
+      [](net::TcpConnection& c) { c.send(std::string("DEPLOY jit 0 3\nfoo")); });
+  conn->on_data([&](net::TcpConnection&, const std::vector<std::uint8_t>& d) {
     reply.append(d.begin(), d.end());
   });
   rig.net.run_until(rig.net.now() + seconds(2));
@@ -185,11 +187,11 @@ TEST(Deploy, RetiredBytecodeEngineIsRefused) {
   std::string body(kGoodAsp);
   std::string reply;
   auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
-  conn->on_established([&] {
-    conn->send("DEPLOY/1 bytecode 0 " + std::to_string(body.size()) + " " +
-               hex64(deploy_checksum(body)) + "\n" + body);
+  conn->on_established([&](net::TcpConnection& c) {
+    c.send("DEPLOY/1 bytecode 0 " + std::to_string(body.size()) + " " +
+           hex64(deploy_checksum(body)) + "\n" + body);
   });
-  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+  conn->on_data([&](net::TcpConnection&, const std::vector<std::uint8_t>& d) {
     reply.append(d.begin(), d.end());
   });
   rig.net.run_until(rig.net.now() + seconds(2));
@@ -204,8 +206,8 @@ void expect_refused(const std::string& bytes, const std::string& err) {
   DeployRig rig;
   std::string reply;
   auto conn = rig.admin->tcp().connect(rig.router->addr(), kDeployPort);
-  conn->on_established([&] { conn->send(bytes); });
-  conn->on_data([&](const std::vector<std::uint8_t>& d) {
+  conn->on_established([&](net::TcpConnection& c) { c.send(bytes); });
+  conn->on_data([&](net::TcpConnection&, const std::vector<std::uint8_t>& d) {
     reply.append(d.begin(), d.end());
   });
   rig.net.run_until(rig.net.now() + seconds(2));

@@ -62,10 +62,14 @@ channel network(ps : unit, ss : unit, p : ip*tcp*blob) is
 
   std::string got1, got2;
   b1.tcp().listen(80, [&](std::shared_ptr<asp::net::TcpConnection> c) {
-    c->on_data([&](const std::vector<std::uint8_t>& d) { got1 += asp::net::string_of(d); });
+    c->on_data([&](asp::net::TcpConnection&, const std::vector<std::uint8_t>& d) {
+      got1 += asp::net::string_of(d);
+    });
   });
   b2.tcp().listen(80, [&](std::shared_ptr<asp::net::TcpConnection> c) {
-    c->on_data([&](const std::vector<std::uint8_t>& d) { got2 += asp::net::string_of(d); });
+    c->on_data([&](asp::net::TcpConnection&, const std::vector<std::uint8_t>& d) {
+      got2 += asp::net::string_of(d);
+    });
   });
   // Client must talk to b2 even though it addresses b1... but replies come
   // from b2's address, so connect to b2 via the rewritten path is one-way.
